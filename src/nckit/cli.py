@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 disagreement between the inverse routes.  Output is deterministic
 byte-for-byte for a fixed invocation.  Enumeration sizes are capped
 (noncrossing kinds 10, tree kinds 8); the ``NCKIT_MAX_N`` environment
-variable overrides both caps and ``--unsafe-no-cap`` removes them.
+variable (at least 1) overrides both caps and ``--unsafe-no-cap`` removes
+them.
 """
 
 from __future__ import annotations
@@ -166,9 +167,12 @@ def _resolve_cap(kind: str, no_cap: bool) -> int | None:
     env = os.environ.get("NCKIT_MAX_N")
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise _UsageError(f"NCKIT_MAX_N is not an integer: {env!r}") from None
+        if cap < 1:
+            raise _UsageError("NCKIT_MAX_N must be >= 1")
+        return cap
     return PARTITION_CAP if kind in _PARTITION_KINDS else TREE_CAP
 
 
@@ -389,7 +393,7 @@ def _check_round_trip(max_n: int, fault) -> tuple[int, str]:
     cases = 0
     for n in range(1, max_n + 1):
         mtab = cm.moments_from_cumulants(n)
-        ctab = cm.cumulants_from_moments_mobius(n)
+        ctab = cm.cumulants_from_moments(n)
         minto = {moment(k): mtab.entry(k) for k in range(1, n + 1)}
         cinto = {cumulant(k): ctab.entry(k) for k in range(1, n + 1)}
         for k in range(1, n + 1):
@@ -443,7 +447,7 @@ def _check_cancellation(max_n: int, fault) -> tuple[int, str]:
 
 def _check_sign_pattern(max_n: int, fault) -> tuple[int, str]:
     cases = 0
-    table = cm.cumulants_from_moments_mobius(max_n)
+    table = cm.cumulants_from_moments(max_n)
     for k in range(1, max_n + 1):
         for mono, coeff_poly in table.entry(k).split_by_family(DELTA).items():
             blocks = sum(exp for _, exp in mono)

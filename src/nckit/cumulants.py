@@ -1,10 +1,12 @@
 """Transforms between moment and cumulant sequences, with a weight parameter.
 
 The forward direction expands each moment as a weighted sum of cumulant
-products over noncrossing partitions.  Three independent routes invert it:
+products over noncrossing partitions.  Three independent routes invert it,
+chosen by name in one table read by ``cumulants_from_moments``:
 
-* ``mobius``   -- back-substitution for the top column of the inverse of the
-  weighted incidence matrix on the noncrossing partition lattice;
+* ``mobius``   -- back-substitution for the top column (the entries against
+  the full partition) of the inverse of the weighted incidence matrix on the
+  noncrossing partition lattice; the default route;
 * ``trees``    -- a signed sum over prime plane trees, each contributing the
   moment product of its partition times its weight;
 * ``lagrange`` -- residue extraction from a Laurent-series identity that
@@ -12,12 +14,13 @@ products over noncrossing partitions.  Three independent routes invert it:
 
 All three must produce identical polynomials; the test suite enforces this.
 Setting every weight variable to 1 specializes to free cumulants, setting
-them all to 0 to boolean cumulants.
+them all to 0 to boolean cumulants.  Numeric conversion accepts only exact
+scalars (ints and Fractions) and raises ``TypeError`` on anything else.
 
-The second half of the module is verification apparatus for the matrix
-inversion: the signed tree sums ``v_pi``, their zeta-weighted accumulations
-``w_rho`` (equal to 1 at the full partition and 0 elsewhere), and the
-sign-reversing involution ``psi`` on arrangements that proves the
+The second half of the module is verification apparatus for the top column:
+its signed tree sums ``mu_column_via_trees``, their zeta-weighted
+accumulations ``w_rho`` (equal to 1 at the full partition and 0 elsewhere),
+and the sign-reversing involution ``psi`` on arrangements that proves the
 cancellation, together with the cover/interval-count identity it hinges on.
 """
 
@@ -44,6 +47,7 @@ from .ncpart import (
 from .poly import (
     DELTA,
     Polynomial,
+    as_fraction,
     cumulant,
     delta,
     moment,
@@ -78,7 +82,6 @@ __all__ = [
     "FLAVOR_DELTA",
     "FLAVOR_FREE",
     "LengthMismatch",
-    "METHOD_FIXED_POINT",
     "METHOD_LAGRANGE",
     "METHOD_MOBIUS",
     "METHOD_TREES",
@@ -86,28 +89,21 @@ __all__ = [
     "NoConvergenceAtOrder",
     "PreconditionViolated",
     "TransformTable",
-    "WeightMatrix",
     "boolean_cumulants",
     "clear_caches",
     "cumulants_from_moments",
-    "cumulants_from_moments_lagrange",
-    "cumulants_from_moments_mobius",
-    "cumulants_from_moments_trees",
     "free_cumulants",
     "moments_from_cumulants",
     "moments_series_fixed_point",
     "mu_column_via_trees",
-    "mu_matrix",
     "numeric_convert",
     "product_cumulant",
     "product_moment",
     "psi",
     "specialize_table",
-    "v_pi",
     "verify_cover_identity",
     "w_rho",
     "w_rho_via_arrangements",
-    "zeta_matrix",
 ]
 
 
@@ -131,9 +127,8 @@ METHOD_YOSHIDA = "yoshida"
 METHOD_MOBIUS = "mobius"
 METHOD_TREES = "trees"
 METHOD_LAGRANGE = "lagrange"
-METHOD_FIXED_POINT = "fixed-point"
 CUMULANT_METHODS = (METHOD_MOBIUS, METHOD_TREES, METHOD_LAGRANGE)
-_METHODS = (METHOD_YOSHIDA,) + CUMULANT_METHODS + (METHOD_FIXED_POINT,)
+_METHODS = (METHOD_YOSHIDA,) + CUMULANT_METHODS
 
 FLAVOR_DELTA = "delta"
 FLAVOR_FREE = "free"
@@ -236,87 +231,12 @@ class TransformTable:
         return buf.getvalue()
 
 
-class WeightMatrix:
-    """Square matrix indexed by noncrossing partitions in a fixed linear order.
-
-    The order refines the lattice order (finer partitions first), so the
-    weighted incidence matrix is upper unitriangular and its inverse exists
-    over the polynomial ring.
-    """
-
-    __slots__ = ("n", "partitions", "rows")
-
-    def __init__(self, n, partitions, rows):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "partitions", tuple(partitions))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightMatrix is immutable")
-
-    @property
-    def size(self) -> int:
-        return len(self.partitions)
-
-    def index(self, p: NoncrossingPartition) -> int:
-        return self.partitions.index(p)
-
-    def entry(self, p: NoncrossingPartition, q: NoncrossingPartition) -> Polynomial:
-        return self.rows[self.index(p)][self.index(q)]
-
-    def __matmul__(self, other: "WeightMatrix") -> "WeightMatrix":
-        if self.partitions != other.partitions:
-            raise ValueError("matrices are indexed by different partition lists")
-        size = self.size
-        rows = [
-            [
-                poly_sum(self.rows[i][k] * other.rows[k][j] for k in range(size))
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-        return WeightMatrix(self.n, self.partitions, rows)
-
-    def is_identity(self) -> bool:
-        return all(
-            entry == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, entry in enumerate(row)
-        )
-
-
 @lru_cache(maxsize=None)
 def _linear_extension(n: int) -> tuple:
     """All noncrossing partitions, finer before coarser."""
     return tuple(
         sorted(enumerate_nc(n), key=lambda p: (-p.block_count, p.blocks))
     )
-
-
-@lru_cache(maxsize=None)
-def zeta_matrix(n: int) -> WeightMatrix:
-    parts = _linear_extension(n)
-    rows = [[zeta(p, q) for q in parts] for p in parts]
-    return WeightMatrix(n, parts, rows)
-
-
-@lru_cache(maxsize=None)
-def mu_matrix(n: int) -> WeightMatrix:
-    """Inverse of the weighted incidence matrix, by back-substitution."""
-    z = zeta_matrix(n)
-    parts = z.partitions
-    size = len(parts)
-    rows = [[Polynomial.zero()] * size for _ in range(size)]
-    for j in range(size):
-        rows[j][j] = Polynomial.one()
-        for i in range(j - 1, -1, -1):
-            if not leq(parts[i], parts[j]):
-                continue
-            acc = poly_sum(
-                z.rows[i][k] * rows[k][j] for k in range(i + 1, j + 1)
-            )
-            rows[i][j] = -acc
-    return WeightMatrix(n, parts, rows)
 
 
 # -- forward direction -------------------------------------------------------
@@ -399,66 +319,36 @@ def _lagrange_entry(k: int) -> Polynomial:
     return ratio.coeff(-1) * Fraction(1, k - 1)
 
 
-def cumulants_from_moments_mobius(n: int) -> TransformTable:
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return TransformTable(
-        n,
-        DIRECTION_CUMULANTS,
-        METHOD_MOBIUS,
-        [_mobius_entry(k) for k in range(1, n + 1)],
-    )
-
-
-def cumulants_from_moments_trees(n: int) -> TransformTable:
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return TransformTable(
-        n,
-        DIRECTION_CUMULANTS,
-        METHOD_TREES,
-        [_trees_entry(k) for k in range(1, n + 1)],
-    )
-
-
-def cumulants_from_moments_lagrange(n: int) -> TransformTable:
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return TransformTable(
-        n,
-        DIRECTION_CUMULANTS,
-        METHOD_LAGRANGE,
-        [_lagrange_entry(k) for k in range(1, n + 1)],
-    )
-
-
-_CUMULANT_BUILDERS = {
-    METHOD_MOBIUS: cumulants_from_moments_mobius,
-    METHOD_TREES: cumulants_from_moments_trees,
-    METHOD_LAGRANGE: cumulants_from_moments_lagrange,
+_CUMULANT_ENTRIES = {
+    METHOD_MOBIUS: _mobius_entry,
+    METHOD_TREES: _trees_entry,
+    METHOD_LAGRANGE: _lagrange_entry,
 }
 
 
 def cumulants_from_moments(n: int, method: str = METHOD_MOBIUS) -> TransformTable:
+    """Each cumulant in terms of the moments, by the named inverse route."""
     try:
-        builder = _CUMULANT_BUILDERS[method]
+        entry = _CUMULANT_ENTRIES[method]
     except KeyError:
         raise ValueError(
             f"unknown cumulant method {method!r}; expected one of {CUMULANT_METHODS}"
         ) from None
-    return builder(n)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return TransformTable(
+        n, DIRECTION_CUMULANTS, method, [entry(k) for k in range(1, n + 1)]
+    )
 
 
-def mu_column_via_trees(p: NoncrossingPartition, n: int) -> Polynomial:
+def mu_column_via_trees(p: NoncrossingPartition) -> Polynomial:
     """Signed weighted count of prime trees mapping to the given partition.
 
-    Matches the corresponding inverse-matrix entry against the full partition.
+    Matches the top-column entry of the inverse matrix at the partition.
     """
-    if p.size != n:
-        raise ValueError(f"partition has {p.size} elements, expected {n}")
     sign = Fraction((-1) ** (p.block_count - 1))
     return sign * poly_sum(
-        weight_tree(t) for t in enumerate_prime(n) if eta(t) == p
+        weight_tree(t) for t in enumerate_prime(p.size) if eta(t) == p
     )
 
 
@@ -481,11 +371,11 @@ def specialize_table(table: TransformTable, flavor: str) -> TransformTable:
 
 
 def free_cumulants(n: int) -> TransformTable:
-    return specialize_table(cumulants_from_moments_mobius(n), FLAVOR_FREE)
+    return specialize_table(cumulants_from_moments(n), FLAVOR_FREE)
 
 
 def boolean_cumulants(n: int) -> TransformTable:
-    return specialize_table(cumulants_from_moments_mobius(n), FLAVOR_BOOLEAN)
+    return specialize_table(cumulants_from_moments(n), FLAVOR_BOOLEAN)
 
 
 # -- series fixed point ------------------------------------------------------
@@ -523,8 +413,8 @@ def numeric_convert(values, deltas, direction: str) -> list:
     """
     if direction not in _DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    values = [Fraction(x) for x in values]
-    deltas = [Fraction(x) for x in deltas]
+    values = [as_fraction(x) for x in values]
+    deltas = [as_fraction(x) for x in deltas]
     if len(values) != len(deltas):
         raise LengthMismatch(
             f"{len(values)} sequence values but {len(deltas)} weight values"
@@ -536,7 +426,7 @@ def numeric_convert(values, deltas, direction: str) -> list:
         table = moments_from_cumulants(n)
         source = cumulant
     else:
-        table = cumulants_from_moments_mobius(n)
+        table = cumulants_from_moments(n)
         source = moment
     assignment = {source(i): values[i - 1] for i in range(1, n + 1)}
     assignment.update({delta(i): deltas[i - 1] for i in range(1, n + 1)})
@@ -545,15 +435,10 @@ def numeric_convert(values, deltas, direction: str) -> list:
 
 # -- cancellation apparatus --------------------------------------------------
 
-def v_pi(p: NoncrossingPartition) -> Polynomial:
-    """Candidate inverse-column entry, as a signed sum over prime trees."""
-    return mu_column_via_trees(p, p.size)
-
-
 def w_rho(rho: NoncrossingPartition) -> Polynomial:
-    """Weighted accumulation of v_pi above rho: 1 at the top, 0 elsewhere."""
+    """Weighted accumulation of the tree column above rho: 1 at the top, else 0."""
     return poly_sum(
-        zeta(rho, p) * v_pi(p)
+        zeta(rho, p) * mu_column_via_trees(p)
         for p in enumerate_nc(rho.size)
         if leq(rho, p)
     )
@@ -648,8 +533,6 @@ def clear_caches() -> None:
     from . import ncpart, trees
 
     _linear_extension.cache_clear()
-    zeta_matrix.cache_clear()
-    mu_matrix.cache_clear()
     _moment_entry.cache_clear()
     _mu_top_column.cache_clear()
     _mobius_entry.cache_clear()

@@ -3,8 +3,9 @@
 This is the coefficient ring for the whole package: polynomials in the gap
 weight variables d1, d2, ..., the moment variables M1, M2, ... and the
 cumulant variables C1, C2, ...  Coefficients are `fractions.Fraction`, so
-every operation is exact.  There is no d0 variable: a gap of size zero always
-contributes the constant 1.
+every operation is exact: scalars must be ints or Fractions, and anything
+else (floats, bools, strings) raises ``TypeError``.  There is no d0 variable:
+a gap of size zero always contributes the constant 1.
 
 Rendering is canonical and parseable: terms in graded-lex descending order
 (variable order d1 < d2 < ... < M1 < M2 < ... < C1 < C2 < ...), each term with
@@ -129,7 +130,7 @@ class Polynomial:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                q = Fraction(coeff)
+                q = as_fraction(coeff)
                 if q:
                     clean[mono] = q
         self._terms = clean
@@ -151,7 +152,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, q: Scalar) -> "Polynomial":
-        q = Fraction(q)
+        q = as_fraction(q)
         return cls._raw({(): q} if q else {})
 
     @classmethod
@@ -180,9 +181,6 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(mono, Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
-
     def as_rational(self) -> Fraction | None:
         """The value of a constant polynomial, or None if any variable occurs."""
         if not self._terms:
@@ -190,12 +188,6 @@ class Polynomial:
         if len(self._terms) == 1 and () in self._terms:
             return self._terms[()]
         return None
-
-    def total_degree(self) -> int:
-        # degree of the zero polynomial is -1 by convention
-        if not self._terms:
-            return -1
-        return max(_mono_degree(m) for m in self._terms)
 
     def variables(self) -> set[Variable]:
         return {v for m in self._terms for v, _ in m}
@@ -374,6 +366,13 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
+
+
+def as_fraction(x) -> Fraction:
+    """An int (not a bool) or a Fraction as a Fraction; TypeError otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {x!r}")
+    return Fraction(x)
 
 
 def as_polynomial(x) -> Polynomial:

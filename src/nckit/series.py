@@ -107,13 +107,6 @@ class LaurentSeries:
         )
         return f"LaurentSeries[{self.low}, {self.order})({body})"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "low": self.low,
-            "order": self.order,
-            "coeffs": [c.render() for c in self.coeffs],
-        }
-
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other) -> "LaurentSeries":

@@ -51,15 +51,6 @@ def is_binary(t: Tree) -> bool:
     return not t or (len(t) == 2 and is_binary(t[0]) and is_binary(t[1]))
 
 
-def _check_tree(t) -> None:
-    if not isinstance(t, tuple):
-        raise ValueError(f"not a tree node: {t!r}")
-    if len(t) == 1:
-        raise ValueError("unary vertices are not allowed")
-    for c in t:
-        _check_tree(c)
-
-
 def tree_to_json(t: Tree):
     """Leaf encodes as 0, internal vertex as the list of its children."""
     if not t:

@@ -80,7 +80,7 @@ def test_criterion_1_golden_tables(capsys):
         start = time.perf_counter()
         cm.clear_caches()
         forward = cm.moments_from_cumulants(4)
-        backward = cm.cumulants_from_moments_mobius(4)
+        backward = cm.cumulants_from_moments(4)
         for k, text in GOLDEN_MOMENTS.items():
             assert forward.entry(k).render() == text
         for k, text in GOLDEN_CUMULANTS.items():
@@ -106,7 +106,7 @@ def test_criterion_3_round_trip(capsys):
     with report(capsys, "criterion 3: symbolic round trip n <= 7; 100 exact numeric round trips n <= 8"):
         for n in range(1, 8):
             forward = cm.moments_from_cumulants(n)
-            backward = cm.cumulants_from_moments_mobius(n)
+            backward = cm.cumulants_from_moments(n)
             minto = {moment(k): forward.entry(k) for k in range(1, n + 1)}
             cinto = {cumulant(k): backward.entry(k) for k in range(1, n + 1)}
             for k in range(1, n + 1):
@@ -242,7 +242,7 @@ def test_criterion_9_sign_pattern(capsys):
                     assert signed > 0 and signed.denominator == 1, (n, p)
         # Collected form: grouping the table entries by moment monomial keeps
         # the same sign pattern, now indexed by the block-size profile.
-        table = cm.cumulants_from_moments_mobius(7)
+        table = cm.cumulants_from_moments(7)
         for k in range(1, 8):
             for mono, cofactor in table.entry(k).split_by_family(DELTA).items():
                 sign = (-1) ** (sum(exp for _, exp in mono) - 1)

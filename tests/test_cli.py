@@ -7,6 +7,7 @@ exit codes; one subprocess smoke test covers the ``python -m nckit`` path.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,10 +120,12 @@ def test_enumerate_env_override(capsys, monkeypatch):
 
 
 def test_enumerate_env_override_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("NCKIT_MAX_N", "ten")
-    rc, _, err = run_cli(capsys, "enumerate", "nc", "--n", "3")
-    assert rc == 2
-    assert "NCKIT_MAX_N" in err
+    for value in ("ten", "0", "-3"):
+        monkeypatch.setenv("NCKIT_MAX_N", value)
+        rc, _, err = run_cli(capsys, "enumerate", "nc", "--n", "1")
+        assert rc == 2
+        assert "NCKIT_MAX_N" in err
+        assert "exceeds" not in err
 
 
 def test_enumerate_rejects_bad_n(capsys):
@@ -469,9 +472,9 @@ def test_fault_only_corrupts_cli_copy(capsys):
     )
     assert rc == 0
     assert out.splitlines()[0] == "C1 = 1*M1"
-    from nckit.cumulants import cumulants_from_moments_trees
+    from nckit.cumulants import cumulants_from_moments
 
-    table = cumulants_from_moments_trees(3)
+    table = cumulants_from_moments(3, "trees")
     assert table.render_text().splitlines()[0] == "C1 = 1*M1"
 
 
@@ -519,6 +522,9 @@ def test_module_entry_point_subprocess():
             "--direction",
             "cumulants",
         ],
+        # run from the directory holding the imported package, so that
+        # ``-m nckit`` finds the same copy the in-process tests use
+        cwd=Path(cli.__file__).resolve().parents[1],
         capture_output=True,
         text=True,
     )

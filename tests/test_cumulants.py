@@ -14,27 +14,23 @@ from nckit.cumulants import (
     LengthMismatch,
     PreconditionViolated,
     TransformTable,
+    _linear_extension,
+    _mu_top_column,
     boolean_cumulants,
     clear_caches,
     cumulants_from_moments,
-    cumulants_from_moments_lagrange,
-    cumulants_from_moments_mobius,
-    cumulants_from_moments_trees,
     free_cumulants,
     moments_from_cumulants,
     moments_series_fixed_point,
     mu_column_via_trees,
-    mu_matrix,
     numeric_convert,
     product_cumulant,
     product_moment,
     psi,
     specialize_table,
-    v_pi,
     verify_cover_identity,
     w_rho,
     w_rho_via_arrangements,
-    zeta_matrix,
 )
 from nckit.ncpart import (
     NoncrossingPartition,
@@ -43,9 +39,10 @@ from nckit.ncpart import (
     finest,
     kreweras_inv,
     leq,
+    zeta,
     zeta_c,
 )
-from nckit.poly import Polynomial, cumulant, delta, moment
+from nckit.poly import Polynomial, cumulant, delta, moment, poly_sum
 from nckit.trees import (
     enumerate_arrangements,
     partition_of,
@@ -79,7 +76,7 @@ def test_forward_golden_tables():
 
 
 def test_inverse_golden_tables():
-    table = cumulants_from_moments_mobius(4)
+    table = cumulants_from_moments(4)
     for k, text in GOLDEN_CUMULANTS.items():
         assert table.entry(k).render() == text
 
@@ -100,14 +97,11 @@ def test_triple_agreement_small():
 
 
 def test_builders_validate_n():
-    for builder in (
-        moments_from_cumulants,
-        cumulants_from_moments_mobius,
-        cumulants_from_moments_trees,
-        cumulants_from_moments_lagrange,
-    ):
+    with pytest.raises(ValueError):
+        moments_from_cumulants(0)
+    for method in CUMULANT_METHODS:
         with pytest.raises(ValueError):
-            builder(0)
+            cumulants_from_moments(0, method)
     with pytest.raises(ValueError):
         cumulants_from_moments(3, "secret")
 
@@ -115,7 +109,7 @@ def test_builders_validate_n():
 # -- table object ------------------------------------------------------------
 
 def test_table_metadata_and_serialization():
-    table = cumulants_from_moments_trees(3)
+    table = cumulants_from_moments(3, "trees")
     assert table.n == 3
     assert table.direction == DIRECTION_CUMULANTS
     assert table.method == "trees"
@@ -145,47 +139,48 @@ def test_table_rejects_nontriangular_entries():
         TransformTable(1, DIRECTION_CUMULANTS, "guesswork", good)
 
 
-# -- matrix machinery --------------------------------------------------------
+# -- inverse column ----------------------------------------------------------
 
 def test_zeta_matrix_unitriangular():
-    for n in range(1, 5):
-        z = zeta_matrix(n)
-        for i, p in enumerate(z.partitions):
-            assert z.rows[i][i] == 1
-            for j, q in enumerate(z.partitions):
-                if j < i:
-                    assert z.rows[i][j].is_zero
-                if not leq(p, q):
-                    assert z.rows[i][j].is_zero
+    for n in range(1, 6):
+        parts = _linear_extension(n)
+        for i, p in enumerate(parts):
+            assert zeta(p, p) == 1
+            for j, q in enumerate(parts):
+                if j < i or not leq(p, q):
+                    assert zeta(p, q).is_zero
 
 
-def test_mu_is_two_sided_inverse():
-    for n in range(1, 5):
-        z, mu = zeta_matrix(n), mu_matrix(n)
-        assert (z @ mu).is_identity()
-        assert (mu @ z).is_identity()
+def test_mu_column_inverts_zeta():
+    # zeta times the top column of its inverse is the top unit vector
+    for n in range(1, 6):
+        column = _mu_top_column(n)
+        top = column[-1][0]
+        assert top == coarsest(n)
+        for p, _ in column:
+            row = poly_sum(zeta(p, q) * value for q, value in column)
+            assert row == (1 if p == top else 0)
 
 
 def test_mu_n2_explicit():
-    mu = mu_matrix(2)
-    assert mu.entry(finest(2), coarsest(2)) == -1
-    assert mu.entry(finest(2), finest(2)) == 1
+    assert dict(_mu_top_column(2)) == {finest(2): -1, coarsest(2): 1}
 
 
 def test_tree_column_matches_matrix_column():
-    for n in range(1, 5):
-        mu = mu_matrix(n)
-        top = mu.partitions[-1]
-        assert top == coarsest(n)
-        for p in mu.partitions:
-            assert mu_column_via_trees(p, n) == mu.entry(p, top)
+    for n in range(1, 6):
+        for p, value in _mu_top_column(n):
+            assert mu_column_via_trees(p) == value
 
 
 def test_tree_column_examples():
-    assert mu_column_via_trees(coarsest(4), 4) == 1
-    assert mu_column_via_trees(finest(2), 2) == -1
-    with pytest.raises(ValueError):
-        mu_column_via_trees(finest(2), 3)
+    assert mu_column_via_trees(coarsest(4)) == 1
+    assert mu_column_via_trees(finest(2)) == -1
+
+
+def test_v_pi_top_value():
+    # the tree column at the top partition is v_pi(1_n) of the paper
+    for n in range(1, 5):
+        assert mu_column_via_trees(coarsest(n)) == 1
 
 
 def test_tree_column_free_specialization_is_classical_mobius():
@@ -201,7 +196,7 @@ def test_tree_column_free_specialization_is_classical_mobius():
                 classical[q] for q in parts if p != q and leq(p, q)
             )
         for p in parts:
-            column = mu_column_via_trees(p, n)
+            column = mu_column_via_trees(p)
             ones = {v: 1 for v in column.variables()}
             assert column.substitute(ones) == classical[p]
 
@@ -211,7 +206,7 @@ def test_tree_column_free_specialization_is_classical_mobius():
 def test_symbolic_round_trip_small():
     for n in range(1, 6):
         mtab = moments_from_cumulants(n)
-        ctab = cumulants_from_moments_mobius(n)
+        ctab = cumulants_from_moments(n)
         minto = {moment(k): mtab.entry(k) for k in range(1, n + 1)}
         cinto = {cumulant(k): ctab.entry(k) for k in range(1, n + 1)}
         for k in range(1, n + 1):
@@ -260,6 +255,15 @@ def test_numeric_convert_errors():
         numeric_convert([1, 2], [1], DIRECTION_CUMULANTS)
     with pytest.raises(ValueError):
         numeric_convert([1], [1], "upwards")
+    for values, deltas in (
+        ([Fraction(1, 2)], [0.5]),
+        ([0.5], [1]),
+        ([0.1, 0.2], [True, 0.3]),
+        ([1], [True]),
+        (["1/2"], [1]),
+    ):
+        with pytest.raises(TypeError):
+            numeric_convert(values, deltas, DIRECTION_CUMULANTS)
 
 
 # -- specializations ---------------------------------------------------------
@@ -351,11 +355,6 @@ def test_w_values():
             assert w_rho_via_arrangements(rho) == expected
 
 
-def test_v_pi_top_value():
-    for n in range(1, 5):
-        assert v_pi(coarsest(n)) == 1
-
-
 def test_psi_involution_exhaustive():
     for n in range(2, 5):
         for rho in enumerate_nc(n):
@@ -422,7 +421,35 @@ def test_cover_identity():
 
 
 def test_cache_clearing_is_consistent():
-    before = cumulants_from_moments_mobius(4)
+    before = cumulants_from_moments(4)
     clear_caches()
-    after = cumulants_from_moments_mobius(4)
+    after = cumulants_from_moments(4)
     assert before == after
+
+
+def test_clear_caches_empties_every_package_cache():
+    import sys
+
+    for method in CUMULANT_METHODS:
+        cumulants_from_moments(4, method)
+    moments_from_cumulants(4)
+    enumerate_arrangements(4)
+    caches = {}
+    for name, module in list(sys.modules.items()):
+        if name == "nckit" or name.startswith("nckit."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_info", None)):
+                    caches[f"{value.__module__}.{value.__qualname__}"] = value
+    assert any(f.cache_info().currsize for f in caches.values())
+    clear_caches()
+    assert {
+        name: f.cache_info().currsize
+        for name, f in caches.items()
+        if f.cache_info().currsize
+    } == {}
+
+
+def test_all_names_exist():
+    import nckit.cumulants as cm
+
+    assert [name for name in cm.__all__ if not hasattr(cm, name)] == []

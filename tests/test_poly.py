@@ -52,6 +52,11 @@ def test_zero_and_constants():
     assert Polynomial.from_variable(M1).as_rational() is None
     assert Polynomial.constant(5) == 5
     assert Polynomial.from_variable(D1) != 0
+    for bad in (0.1, 1.0, True, False, "1/2", None):
+        with pytest.raises(TypeError):
+            Polynomial({(): bad})
+        with pytest.raises(TypeError):
+            Polynomial.constant(bad)
 
 
 def test_cancellation_normalizes():

@@ -24,7 +24,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import combinations
 
 from . import cumulants as cm
 from .ncpart import (
@@ -254,11 +256,7 @@ def _cmd_table(args) -> int:
         tables = {m: _cumulant_table(n, m, args.inject_fault) for m in cm.CUMULANT_METHODS}
         agreement = {
             f"{a}/{b}": tables[a].entries == tables[b].entries
-            for a, b in (
-                (cm.METHOD_MOBIUS, cm.METHOD_TREES),
-                (cm.METHOD_MOBIUS, cm.METHOD_LAGRANGE),
-                (cm.METHOD_TREES, cm.METHOD_LAGRANGE),
-            )
+            for a, b in combinations(cm.CUMULANT_METHODS, 2)
         }
         table = tables[cm.METHOD_MOBIUS]
     else:
@@ -326,138 +324,100 @@ def _cmd_convert(args) -> int:
 
 # -- verify ------------------------------------------------------------------
 
-def _check_counting(max_n: int, fault) -> tuple[int, str]:
-    cases = 0
+# Each check yields one (passed, what) pair per case; verify stops at the first
+# failed case and names it by its `what`.
+_Cases = Iterator[tuple[bool, str]]
+
+
+def _check_counting(max_n: int, fault) -> _Cases:
     for n in range(1, min(max_n, 8) + 1):
-        brute = sum(
-            1 for p in enumerate_set_partitions(n) if is_noncrossing(p)
-        )
-        if len(enumerate_nc(n)) != brute:
-            return cases, f"noncrossing count at n={n}"
-        cases += 1
+        brute = sum(1 for p in enumerate_set_partitions(n) if is_noncrossing(p))
+        yield len(enumerate_nc(n)) == brute, f"noncrossing count at n={n}"
     for n in range(1, min(max_n, 6) + 1):
-        if len(enumerate_interval(n)) != 2 ** (n - 1):
-            return cases, f"interval count at n={n}"
-        if len(enumerate_arrangements(n)) != len(enumerate_prime(n)):
-            return cases, f"arrangement/prime count at n={n}"
-        cases += 2
-    return cases, ""
+        yield len(enumerate_interval(n)) == 2 ** (n - 1), f"interval count at n={n}"
+        yield (
+            len(enumerate_arrangements(n)) == len(enumerate_prime(n)),
+            f"arrangement/prime count at n={n}",
+        )
 
 
-def _check_zeta_forms(max_n: int, fault) -> tuple[int, str]:
-    cases = 0
+def _check_zeta_forms(max_n: int, fault) -> _Cases:
     for n in range(1, min(max_n, 5) + 1):
         parts = enumerate_nc(n)
         for p in parts:
             for q in parts:
-                if zeta(p, q) != zeta_arc_form(p, q):
-                    return cases, f"zeta forms disagree at n={n}"
-                if zeta_c(p, q) != zeta_c_closed(p, q):
-                    return cases, f"dual zeta forms disagree at n={n}"
-                cases += 2
-    return cases, ""
+                yield zeta(p, q) == zeta_arc_form(p, q), f"zeta forms disagree at n={n}"
+                yield (
+                    zeta_c(p, q) == zeta_c_closed(p, q),
+                    f"dual zeta forms disagree at n={n}",
+                )
 
 
-def _check_structural_maps(max_n: int, fault) -> tuple[int, str]:
-    cases = 0
+def _check_structural_maps(max_n: int, fault) -> _Cases:
     for n in range(1, min(max_n, 6) + 1):
         for t in enumerate_prime(n):
             a = phi(t)
-            if phi_inv(a) != t:
-                return cases, f"tree/arrangement round trip at n={n}"
-            if kreweras(partition_of(a)) != eta(t):
-                return cases, f"complement identity at n={n}"
-            if weight_arrangement(a) != weight_tree(t):
-                return cases, f"weight transport at n={n}"
-            cases += 3
+            yield phi_inv(a) == t, f"tree/arrangement round trip at n={n}"
+            yield kreweras(partition_of(a)) == eta(t), f"complement identity at n={n}"
+            yield weight_arrangement(a) == weight_tree(t), f"weight transport at n={n}"
         for p in enumerate_nc(n):
-            if len(arcs(p)) + p.block_count != n:
-                return cases, f"arc/block count at n={n}"
-            cases += 1
-    return cases, ""
+            yield len(arcs(p)) + p.block_count == n, f"arc/block count at n={n}"
 
 
-def _check_triple_agreement(max_n: int, fault) -> tuple[int, str]:
-    cases = 0
+def _check_triple_agreement(max_n: int, fault) -> _Cases:
     for n in range(1, max_n + 1):
         tables = {m: _cumulant_table(n, m, fault) for m in cm.CUMULANT_METHODS}
         reference = tables[cm.METHOD_MOBIUS]
         for m in cm.CUMULANT_METHODS[1:]:
-            if tables[m].entries != reference.entries:
-                return cases, f"{cm.CUMULANT_METHODS[0]} vs {m} at n={n}"
-            cases += 1
-    return cases, ""
+            what = f"{cm.CUMULANT_METHODS[0]} vs {m} at n={n}"
+            yield tables[m].entries == reference.entries, what
 
 
-def _check_round_trip(max_n: int, fault) -> tuple[int, str]:
-    cases = 0
+def _check_round_trip(max_n: int, fault) -> _Cases:
     for n in range(1, max_n + 1):
         mtab = cm.moments_from_cumulants(n)
         ctab = cm.cumulants_from_moments(n)
         minto = {moment(k): mtab.entry(k) for k in range(1, n + 1)}
         cinto = {cumulant(k): ctab.entry(k) for k in range(1, n + 1)}
         for k in range(1, n + 1):
-            if ctab.entry(k).substitute(minto) != Polynomial.from_variable(
-                cumulant(k)
-            ):
-                return cases, f"cumulant entry {k} at n={n}"
-            if mtab.entry(k).substitute(cinto) != Polynomial.from_variable(
-                moment(k)
-            ):
-                return cases, f"moment entry {k} at n={n}"
-            cases += 2
-    return cases, ""
+            c_k = Polynomial.from_variable(cumulant(k))
+            m_k = Polynomial.from_variable(moment(k))
+            yield ctab.entry(k).substitute(minto) == c_k, f"cumulant entry {k} at n={n}"
+            yield mtab.entry(k).substitute(cinto) == m_k, f"moment entry {k} at n={n}"
 
 
-def _check_specializations(max_n: int, fault) -> tuple[int, str]:
+def _check_specializations(max_n: int, fault) -> _Cases:
     free_series = standard_series("F", max_n)
     bool_series = standard_series("B", max_n)
     free_table = cm.free_cumulants(max_n)
     bool_table = cm.boolean_cumulants(max_n)
-    cases = 0
     for k in range(1, max_n + 1):
-        if free_table.entry(k) != free_series.coeff(k - 1):
-            return cases, f"free entry {k}"
-        if bool_table.entry(k) != bool_series.coeff(k - 1):
-            return cases, f"boolean entry {k}"
-        cases += 2
-    return cases, ""
+        yield free_table.entry(k) == free_series.coeff(k - 1), f"free entry {k}"
+        yield bool_table.entry(k) == bool_series.coeff(k - 1), f"boolean entry {k}"
 
 
-def _check_cancellation(max_n: int, fault) -> tuple[int, str]:
-    cases = 0
+def _check_cancellation(max_n: int, fault) -> _Cases:
     for n in range(1, min(max_n, 5) + 1):
         for rho in enumerate_nc(n):
             expected = 1 if rho == coarsest(n) else 0
-            if cm.w_rho(rho) != expected:
-                return cases, f"accumulated column value at {rho.render()}"
-            cases += 1
-            if rho == coarsest(n):
+            yield cm.w_rho(rho) == expected, f"accumulated column value at {rho.render()}"
+            if expected:
                 continue
             dual = kreweras_inv(rho)
+            failure = f"pairing fails at {rho.render()}"
             for a in enumerate_arrangements(n):
-                if not leq(partition_of(a), dual):
-                    continue
-                b = cm.psi(a, rho)
-                if b == a or cm.psi(b, rho) != a:
-                    return cases, f"pairing fails at {rho.render()}"
-                cases += 1
-    return cases, ""
+                if leq(partition_of(a), dual):
+                    b = cm.psi(a, rho)
+                    yield b != a and cm.psi(b, rho) == a, failure
 
 
-def _check_sign_pattern(max_n: int, fault) -> tuple[int, str]:
-    cases = 0
+def _check_sign_pattern(max_n: int, fault) -> _Cases:
     table = cm.cumulants_from_moments(max_n)
     for k in range(1, max_n + 1):
         for mono, coeff_poly in table.entry(k).split_by_family(DELTA).items():
-            blocks = sum(exp for _, exp in mono)
-            sign = (-1) ** (blocks - 1)
-            for _, coeff in coeff_poly.items():
-                value = sign * coeff
-                if value <= 0 or value.denominator != 1:
-                    return cases, f"sign pattern breaks in entry {k}"
-            cases += 1
-    return cases, ""
+            sign = (-1) ** (sum(exp for _, exp in mono) - 1)
+            ok = all(sign * c > 0 and c.denominator == 1 for _, c in coeff_poly.items())
+            yield ok, f"sign pattern breaks in entry {k}"
 
 
 _CHECKS = (
@@ -474,10 +434,12 @@ _CHECKS = (
 
 def _cmd_verify(args) -> int:
     for name, check in _CHECKS:
-        cases, failure = check(args.max_n, args.inject_fault)
-        if failure:
-            print(f"FAIL {name}: {failure}")
-            return 1
+        cases = 0
+        for passed, what in check(args.max_n, args.inject_fault):
+            if not passed:
+                print(f"FAIL {name}: {what}")
+                return 1
+            cases += 1
         print(f"ok {name}: {cases} cases")
     print(f"all checks passed (max n = {args.max_n})")
     return 0

@@ -8,7 +8,8 @@ chosen by name in one table read by ``cumulants_from_moments``:
   the full partition) of the inverse of the weighted incidence matrix on the
   noncrossing partition lattice; the default route;
 * ``trees``    -- a signed sum over prime plane trees, each contributing the
-  moment product of its partition times its weight;
+  moment product of its partition times its weight; the trees of size n are
+  summed once into one column of (partition, signed weight) pairs;
 * ``lagrange`` -- residue extraction from a Laurent-series identity that
   involves a Hadamard product.
 
@@ -18,10 +19,11 @@ them all to 0 to boolean cumulants.  Numeric conversion accepts only exact
 scalars (ints and Fractions) and raises ``TypeError`` on anything else.
 
 The second half of the module is verification apparatus for the top column:
-its signed tree sums ``mu_column_via_trees``, their zeta-weighted
-accumulations ``w_rho`` (equal to 1 at the full partition and 0 elsewhere),
-and the sign-reversing involution ``psi`` on arrangements that proves the
-cancellation, together with the cover/interval-count identity it hinges on.
+its entries ``mu_column_via_trees``, read from the same tree column, their
+zeta-weighted accumulations ``w_rho`` (equal to 1 at the full partition and 0
+elsewhere), and the sign-reversing involution ``psi`` on arrangements that
+proves the cancellation, together with the cover/interval-count identity it
+hinges on.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .trees import (
     enumerate_arrangements,
     enumerate_prime,
     eta,
-    internal_count,
     n_leaves,
     partition_of,
     weight_arrangement,
@@ -297,13 +298,23 @@ def _mobius_entry(k: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _trees_entry(k: int) -> Polynomial:
-    return poly_sum(
-        Fraction((-1) ** (internal_count(t) - 1))
-        * weight_tree(t)
-        * product_moment(eta(t))
-        for t in enumerate_prime(k)
+def _tree_column(n: int) -> tuple:
+    """Pairs (partition, signed weight of the prime trees mapping to it).
+
+    One pass over the prime trees of size n; the sign is (-1)^(blocks - 1).
+    """
+    groups: dict[NoncrossingPartition, list] = {}
+    for t in enumerate_prime(n):
+        groups.setdefault(eta(t), []).append(weight_tree(t))
+    return tuple(
+        (p, Fraction((-1) ** (p.block_count - 1)) * poly_sum(weights))
+        for p, weights in groups.items()
     )
+
+
+@lru_cache(maxsize=None)
+def _trees_entry(k: int) -> Polynomial:
+    return poly_sum(val * product_moment(p) for p, val in _tree_column(k))
 
 
 @lru_cache(maxsize=None)
@@ -346,10 +357,7 @@ def mu_column_via_trees(p: NoncrossingPartition) -> Polynomial:
 
     Matches the top-column entry of the inverse matrix at the partition.
     """
-    sign = Fraction((-1) ** (p.block_count - 1))
-    return sign * poly_sum(
-        weight_tree(t) for t in enumerate_prime(p.size) if eta(t) == p
-    )
+    return dict(_tree_column(p.size)).get(p, Polynomial.zero())
 
 
 # -- specializations ---------------------------------------------------------
@@ -438,9 +446,7 @@ def numeric_convert(values, deltas, direction: str) -> list:
 def w_rho(rho: NoncrossingPartition) -> Polynomial:
     """Weighted accumulation of the tree column above rho: 1 at the top, else 0."""
     return poly_sum(
-        zeta(rho, p) * mu_column_via_trees(p)
-        for p in enumerate_nc(rho.size)
-        if leq(rho, p)
+        zeta(rho, p) * val for p, val in _tree_column(rho.size) if leq(rho, p)
     )
 
 
@@ -532,15 +538,7 @@ def clear_caches() -> None:
     """Drop every memoized table and enumeration (for timing measurements)."""
     from . import ncpart, trees
 
-    _linear_extension.cache_clear()
-    _moment_entry.cache_clear()
-    _mu_top_column.cache_clear()
-    _mobius_entry.cache_clear()
-    _trees_entry.cache_clear()
-    _lagrange_entry.cache_clear()
-    ncpart.enumerate_nc.cache_clear()
-    ncpart.enumerate_interval.cache_clear()
-    trees._trees_with_leaves.cache_clear()
-    trees.enumerate_prime.cache_clear()
-    trees.enumerate_binary.cache_clear()
-    trees.enumerate_arrangements.cache_clear()
+    for namespace in (vars(ncpart), vars(trees), globals()):
+        for value in namespace.values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()

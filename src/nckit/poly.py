@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 DELTA = 0
@@ -89,33 +88,10 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_cmp(a: Monomial, b: Monomial) -> int:
+def _mono_key(m: Monomial) -> tuple:
     """Graded lex: total degree first, then exponents scanned from the largest variable down."""
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    i, j = len(a) - 1, len(b) - 1
-    while i >= 0 or j >= 0:
-        if i < 0:
-            return -1
-        if j < 0:
-            return 1
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va != vb:
-            return 1 if va > vb else -1
-        if ea != eb:
-            return 1 if ea > eb else -1
-        i -= 1
-        j -= 1
-    return 0
+    return sum(e for _, e in m), m[::-1]
 
-
-_MONO_KEY = cmp_to_key(_mono_cmp)
 
 _FACTOR_RE = re.compile(r"^([dMC])([0-9]+)(?:\^([0-9]+))?$")
 _RATIONAL_RE = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
@@ -277,14 +253,15 @@ class Polynomial:
         return total
 
     def evaluate(self, assignment: Mapping[Variable, Scalar]) -> Fraction:
-        """Fully evaluate; every variable that occurs must be assigned."""
+        """Fully evaluate; every variable that occurs must be assigned an int or a Fraction."""
+        values = {v: as_fraction(x) for v, x in assignment.items()}
         total = Fraction(0)
         for mono, coeff in self._terms.items():
             prod = coeff
             for var, exp in mono:
-                if var not in assignment:
+                if var not in values:
                     raise ValueError(f"no value for variable {var.symbol()}")
-                prod *= Fraction(assignment[var]) ** exp
+                prod *= values[var] ** exp
             total += prod
         return total
 
@@ -306,7 +283,7 @@ class Polynomial:
     def render(self) -> str:
         if not self._terms:
             return "0"
-        monos = sorted(self._terms, key=_MONO_KEY, reverse=True)
+        monos = sorted(self._terms, key=_mono_key, reverse=True)
         pieces = []
         for k, mono in enumerate(monos):
             coeff = self._terms[mono]

@@ -57,6 +57,8 @@ def test_zero_and_constants():
             Polynomial({(): bad})
         with pytest.raises(TypeError):
             Polynomial.constant(bad)
+        with pytest.raises(TypeError):
+            Polynomial.from_variable(M1).evaluate({M1: bad})
 
 
 def test_cancellation_normalizes():

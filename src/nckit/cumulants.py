@@ -77,6 +77,7 @@ from .trees import (
 
 __all__ = [
     "CUMULANT_METHODS",
+    "DEFAULT_METHOD",
     "DIRECTION_CUMULANTS",
     "DIRECTION_MOMENTS",
     "FLAVOR_BOOLEAN",
@@ -129,6 +130,7 @@ METHOD_MOBIUS = "mobius"
 METHOD_TREES = "trees"
 METHOD_LAGRANGE = "lagrange"
 CUMULANT_METHODS = (METHOD_MOBIUS, METHOD_TREES, METHOD_LAGRANGE)
+DEFAULT_METHOD = METHOD_MOBIUS
 _METHODS = (METHOD_YOSHIDA,) + CUMULANT_METHODS
 
 FLAVOR_DELTA = "delta"
@@ -337,7 +339,7 @@ _CUMULANT_ENTRIES = {
 }
 
 
-def cumulants_from_moments(n: int, method: str = METHOD_MOBIUS) -> TransformTable:
+def cumulants_from_moments(n: int, method: str = DEFAULT_METHOD) -> TransformTable:
     """Each cumulant in terms of the moments, by the named inverse route."""
     try:
         entry = _CUMULANT_ENTRIES[method]
@@ -535,7 +537,8 @@ def verify_cover_identity(a: Arrangement, rho: NoncrossingPartition) -> bool:
 # -- cache control ------------------------------------------------------------
 
 def clear_caches() -> None:
-    """Drop every memoized table and enumeration (for timing measurements)."""
+    """Free every table and enumeration, memoized per n for the life of the
+    process (also makes the next call cold, for timing measurements)."""
     from . import ncpart, trees
 
     for namespace in (vars(ncpart), vars(trees), globals()):

@@ -154,9 +154,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
-
     def as_rational(self) -> Fraction | None:
         """The value of a constant polynomial, or None if any variable occurs."""
         if not self._terms:

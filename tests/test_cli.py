@@ -4,6 +4,7 @@ Each test drives ``nckit.cli.main`` in-process and asserts on exact bytes and
 exit codes; one subprocess smoke test covers the ``python -m nckit`` path.
 """
 
+import inspect
 import json
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from nckit import cli
+from nckit import cumulants as cm
 from nckit.cli import main
+from nckit.poly import Polynomial, delta, moment
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +276,7 @@ def test_table_json_all_embeds_agreement(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert set(payload) == {"table", "agreement"}
+    assert payload["table"]["method"] == "mobius"  # the default route's table
     assert payload["agreement"] == {
         "mobius/trees": True,
         "mobius/lagrange": True,
@@ -371,6 +375,8 @@ def test_convert_random_round_trip_through_cli(capsys):
 
 
 def test_convert_usage_errors(capsys):
+    # M1 fits the int-to-string digit limit, C2 = M2 - M1^2 does not
+    long_m1 = "1" + "0" * (sys.get_int_max_str_digits() // 2 + 1)
     bad = [
         # unparsable rational
         ["convert", "--moments", "1,x", "--deltas", "1,1", "--direction", "cumulants"],
@@ -392,6 +398,10 @@ def test_convert_usage_errors(capsys):
         ["convert", "--moments", "1,2", "--deltas", "1", "--direction", "cumulants"],
         # division by zero in a rational
         ["convert", "--moments", "1/0", "--deltas", "1", "--direction", "cumulants"],
+        # exponent notation, refused since Fraction("1e100000000") takes minutes
+        ["convert", "--moments=1e5", "--deltas=1", "--direction", "cumulants"],
+        # a result too long to print
+        ["convert", f"--moments={long_m1},0", "--deltas=1,1", "--direction", "cumulants"],
     ]
     for argv in bad:
         rc, out, err = run_cli(capsys, *argv)
@@ -422,16 +432,27 @@ def test_verify_rejects_bad_max_n(capsys):
     assert run_cli(capsys, "verify", "--max-n", "0")[0] == 2
 
 
-def test_verify_fault_injection_names_triple_agreement(capsys):
-    rc, out, _ = run_cli(
-        capsys, "verify", "--max-n", "4", "--inject-fault", "tree-weight"
-    )
+@pytest.fixture
+def wrong_trees_route(monkeypatch):
+    """A simulated bug in the trees route: entry k >= 2 gains d1*M1^k."""
+    right = cm._CUMULANT_ENTRIES[cm.METHOD_TREES]
+    d1 = Polynomial.from_variable(delta(1))
+    m1 = Polynomial.from_variable(moment(1))
+
+    def wrong(k):
+        bump = d1 * m1**k if k >= 2 else Polynomial.zero()
+        return right(k) + bump
+
+    monkeypatch.setitem(cm._CUMULANT_ENTRIES, cm.METHOD_TREES, wrong)
+
+
+def test_verify_fault_injection_names_triple_agreement(capsys, wrong_trees_route):
+    rc, out, _ = run_cli(capsys, "verify", "--max-n", "4")
     assert rc == 1
-    assert "FAIL triple agreement" in out
-    assert "all checks passed" not in out
+    assert out.splitlines()[-1] == "FAIL triple agreement: mobius vs trees at n=2"
 
 
-def test_table_all_fault_injection_exits_3(capsys):
+def test_table_all_fault_injection_exits_3(capsys, wrong_trees_route):
     rc, out, _ = run_cli(
         capsys,
         "table",
@@ -442,36 +463,10 @@ def test_table_all_fault_injection_exits_3(capsys):
         "3",
         "--method",
         "all",
-        "--inject-fault",
-        "tree-weight",
     )
     assert rc == 3
     assert "agreement mobius/trees: MISMATCH" in out
     assert "agreement mobius/lagrange: ok" in out
-
-
-def test_fault_only_corrupts_cli_copy(capsys):
-    # A single-method table can't see the fault, and the library itself
-    # stays untouched: the canonical route still matches the golden line.
-    rc, out, _ = run_cli(
-        capsys,
-        "table",
-        "delta",
-        "--direction",
-        "cumulants",
-        "--n",
-        "3",
-        "--method",
-        "mobius",
-        "--inject-fault",
-        "tree-weight",
-    )
-    assert rc == 0
-    assert out.splitlines()[0] == "C1 = 1*M1"
-    from nckit.cumulants import cumulants_from_moments
-
-    table = cumulants_from_moments(3, "trees")
-    assert table.render_text().splitlines()[0] == "C1 = 1*M1"
 
 
 # -- shared plumbing ---------------------------------------------------------
@@ -529,10 +524,20 @@ def test_module_entry_point_subprocess():
     assert proc.stderr == ""
 
 
-def test_parser_exposes_all_verbs():
+def test_parser_exposes_all_verbs(capsys):
     parser = cli.build_parser()
     help_text = parser.format_help()
     for verb in ("enumerate", "table", "convert", "verify"):
         assert verb in help_text
-    # The fault hook is intentionally hidden from help output.
-    assert "--inject-fault" not in help_text
+    # there is no fault-injection option; tests patch the route table instead
+    fault = ["--inject-fault", "tree-weight"]
+    assert run_cli(capsys, "verify", *fault)[0] == 2
+    table = ["table", "delta", "--direction", "cumulants", "--n", "3"]
+    assert run_cli(capsys, *table, *fault)[0] == 2
+
+
+def test_table_default_method_is_the_library_default():
+    parser = cli.build_parser()
+    args = parser.parse_args(["table", "delta", "--direction", "cumulants", "--n", "2"])
+    signature = inspect.signature(cm.cumulants_from_moments)
+    assert args.method == signature.parameters["method"].default

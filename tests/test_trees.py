@@ -1,6 +1,7 @@
 """Tests for plane trees, their partition map, and noncrossing arrangements."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nckit.ncpart import NoncrossingPartition, enumerate_nc, kreweras, weight
 from nckit.poly import Polynomial
@@ -287,3 +288,28 @@ def test_weight_arrangement_cherry_ladder():
     assert weight_arrangement(a) == Polynomial.parse("1*d1*d2")
     t = phi_inv(a)
     assert weight_tree(t) == Polynomial.parse("1*d1*d2")
+
+
+# -- random prime trees, beyond the exhaustive sweeps -------------------------
+
+# Schröder trees with 2-4 children per vertex; a root whose children end in a
+# leaf is prime.  n = leaves - 1 stays <= 35 so partitions render in base 36.
+schroder_trees = st.recursive(
+    st.just(LEAF),
+    lambda kids: st.lists(kids, min_size=2, max_size=4).map(tuple),
+    max_leaves=11,
+)
+prime_trees = (
+    st.lists(schroder_trees, min_size=1, max_size=3)
+    .map(lambda kids: (*kids, LEAF))
+    .filter(lambda t: n_leaves(t) <= 36)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prime_trees)
+def test_random_prime_tree_round_trips(t):
+    assert tree_from_json(tree_to_json(t)) == t
+    p = eta(t)
+    assert NoncrossingPartition.parse(p.render()) == p
+    assert phi_inv(phi(t)) == t

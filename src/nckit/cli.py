@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
@@ -141,6 +142,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed output pipe ends the command quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 
@@ -266,7 +269,12 @@ def _parse_rationals(text: str, flag: str) -> list[Fraction]:
                 raise ValueError(token)
             values.append(Fraction(token))
         except (ValueError, ZeroDivisionError):
-            raise _UsageError(f"{flag}: not an exact rational: {token!r}") from None
+            limit = sys.get_int_max_str_digits()
+            if limit and len(token) > limit:  # past the int limit; too long to echo
+                message = f"a value has more than {limit} digits"
+            else:
+                message = f"not an exact rational: {token!r}"
+            raise _UsageError(f"{flag}: {message}") from None
     return values
 
 

@@ -246,15 +246,11 @@ def _linear_extension(n: int) -> tuple:
 
 def product_moment(p: NoncrossingPartition) -> Polynomial:
     """Product of one moment variable per block, indexed by block size."""
-    return poly_product(
-        Polynomial.from_variable(moment(len(b))) for b in p.blocks
-    )
+    return poly_product(moment(len(b)) for b in p.blocks)
 
 
 def product_cumulant(p: NoncrossingPartition) -> Polynomial:
-    return poly_product(
-        Polynomial.from_variable(cumulant(len(b))) for b in p.blocks
-    )
+    return poly_product(cumulant(len(b)) for b in p.blocks)
 
 
 @lru_cache(maxsize=None)
@@ -456,14 +452,12 @@ def w_rho_via_arrangements(rho: NoncrossingPartition) -> Polynomial:
     """Same accumulation, rewritten as a signed sum over arrangements."""
     n = rho.size
     dual = kreweras_inv(rho)
-    total = Polynomial.zero()
-    for a in enumerate_arrangements(n):
-        abar = partition_of(a)
-        if not leq(abar, dual):
-            continue
-        sign = Fraction((-1) ** (n - len(a.components)))
-        total = total + sign * weight_arrangement(a) * zeta_c(abar, dual)
-    return total
+    below = ((a, partition_of(a)) for a in enumerate_arrangements(n))
+    return poly_sum(
+        (-1) ** (n - len(a.components)) * weight_arrangement(a) * zeta_c(abar, dual)
+        for a, abar in below
+        if leq(abar, dual)
+    )
 
 
 def _pairing_context(a: Arrangement, rho: NoncrossingPartition):

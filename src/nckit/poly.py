@@ -132,12 +132,8 @@ class Polynomial:
         return cls._raw({(): q} if q else {})
 
     @classmethod
-    def from_variable(cls, var: Variable, exp: int = 1) -> "Polynomial":
-        if exp < 0:
-            raise ValueError("exponent must be nonnegative")
-        if exp == 0:
-            return cls.one()
-        return cls._raw({((var, exp),): Fraction(1)})
+    def from_variable(cls, var: Variable) -> "Polynomial":
+        return cls._raw({((var, 1),): Fraction(1)})
 
     # -- inspection ---------------------------------------------------------
 
@@ -216,10 +212,7 @@ class Polynomial:
     def __pow__(self, exp: int) -> "Polynomial":
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("polynomial powers must have nonnegative integer exponent")
-        result = Polynomial.one()
-        for _ in range(exp):
-            result = result * self
-        return result
+        return poly_product([self] * exp)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -234,20 +227,16 @@ class Polynomial:
 
     def substitute(self, assignment: Mapping[Variable, object]) -> "Polynomial":
         """Replace variables by polynomials or rationals; unassigned variables pass through."""
-        values = {v: as_polynomial(x) for v, x in assignment.items()}
-        for v, p in values.items():
+        values = {v: Polynomial.from_variable(v) for v in self.variables()}
+        for v, x in assignment.items():
+            p = as_polynomial(x)
             if p is NotImplemented:
-                raise TypeError(f"cannot substitute {assignment[v]!r} for {v.symbol()}")
-        total = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            term = Polynomial.constant(coeff)
-            for var, exp in mono:
-                if var in values:
-                    term = term * (values[var] ** exp)
-                else:
-                    term = term * Polynomial.from_variable(var, exp)
-            total = total + term
-        return total
+                raise TypeError(f"cannot substitute {x!r} for {v.symbol()}")
+            values[v] = p
+        return poly_sum(
+            coeff * poly_product(values[var] ** exp for var, exp in mono)
+            for mono, coeff in self._terms.items()
+        )
 
     def evaluate(self, assignment: Mapping[Variable, Scalar]) -> Fraction:
         """Fully evaluate; every variable that occurs must be assigned an int or a Fraction."""

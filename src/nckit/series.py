@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, as_polynomial, cumulant, delta, moment
+from .poly import Polynomial, as_polynomial, cumulant, delta, moment, poly_sum
 
 
 class OutOfTruncationRange(Exception):
@@ -80,9 +80,7 @@ class LaurentSeries:
             raise OutOfTruncationRange(
                 f"coefficient of z^{k} is beyond the truncation order {self.order}"
             )
-        if k < self.low:
-            return Polynomial.zero()
-        return self.coeffs[k - self.low]
+        return self._at(k)
 
     def _at(self, k: int) -> Polynomial:
         # internal: caller guarantees k < self.order
@@ -155,23 +153,23 @@ class LaurentSeries:
                 return NotImplemented
         low = self.low + other.low
         order = min(self.order + other.low, other.order + self.low)
-        acc = [Polynomial.zero() for _ in range(order - low)]
-        for i, ci in enumerate(self.coeffs, start=self.low):
-            if ci.is_zero:
-                continue
-            for j, cj in enumerate(other.coeffs, start=other.low):
-                k = i + j
-                if k >= order:
-                    break
-                if cj.is_zero:
-                    continue
-                acc[k - low] = acc[k - low] + ci * cj
-        return LaurentSeries(low, acc, order)
+        # k < order keeps i below self.order and k - i below other.order
+        coeffs = [
+            poly_sum(
+                self._at(i) * other._at(k - i) for i in range(self.low, k - other.low + 1)
+            )
+            for k in range(low, order)
+        ]
+        return LaurentSeries(low, coeffs, order)
 
     __rmul__ = __mul__
 
     def recip(self) -> "LaurentSeries":
-        """Multiplicative inverse; window [-low, order - 2*low)."""
+        """Multiplicative inverse; window [-low, order - 2*low).
+
+        With self = lead * z^low * (1 + a_1 z + ...), the unit part inverts by the
+        triangular recurrence s_0 = 1, s_k = -(a_1 s_{k-1} + ... + a_k s_0).
+        """
         if self.is_zero:
             raise NotInvertible("cannot invert a series with no visible nonzero term")
         lead = self.coeffs[0].as_rational()
@@ -180,14 +178,11 @@ class LaurentSeries:
                 f"leading coefficient {self.coeffs[0].render()} is not a rational unit"
             )
         c = Fraction(1) / lead
-        rel = self.order - self.low
-        unit = self.shift(-self.low).scale(c)  # 1 + u with val(u) >= 1, window [0, rel)
-        one = constant_series(1, rel)
-        u = unit - one
-        s = one
-        for _ in range(rel - 1):
-            s = one - u * s
-        return s.scale(c).shift(-self.low)
+        a = [x * c for x in self.coeffs]
+        s = [Polynomial.one()]
+        for k in range(1, len(a)):
+            s.append(-poly_sum(a[j] * s[k - j] for j in range(1, k + 1)))
+        return LaurentSeries(-self.low, [x * c for x in s], self.order - 2 * self.low)
 
     def power(self, k: int) -> "LaurentSeries":
         """Integer power; power(f, 0) is 1 on the window [0, order - low)."""

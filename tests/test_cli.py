@@ -6,6 +6,7 @@ exit codes; one subprocess smoke test covers the ``python -m nckit`` path.
 
 import inspect
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -410,6 +411,16 @@ def test_convert_usage_errors(capsys):
         assert err != ""
 
 
+def test_convert_does_not_echo_an_overlong_token(capsys):
+    ones = "1" * 5000  # past the default int-to-string limit of 4300 digits
+    argv = ["convert", f"--moments={ones}", "--deltas=1", "--direction", "cumulants"]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert "digits" in err
+
+
 # -- verify ------------------------------------------------------------------
 
 def test_verify_passes(capsys):
@@ -522,6 +533,22 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     assert proc.stdout == "1,0,0\n"
     assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_pipe_ends_the_command_quietly():
+    # about 260 KB of output, more than a pipe buffer holds
+    with subprocess.Popen(
+        [sys.executable, "-m", "nckit", "enumerate", "nc", "--n", "10"],
+        cwd=Path(cli.__file__).resolve().parents[1],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"1|2|3|4|5|6|7|8|9|A\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert err == b""
+    assert proc.returncode == -signal.SIGPIPE
 
 
 def test_parser_exposes_all_verbs(capsys):

@@ -1,0 +1,76 @@
+"""Exactness lint: no float can enter the package source.
+
+Every module of ``nckit`` is parsed with ``ast`` and fails on a float or
+complex literal, the name ``float``, an import of ``math``, ``decimal`` or
+``statistics``, or a true division whose left operand is not a
+``Fraction(...)`` call (so the quotient is a Fraction, never a float).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import nckit
+
+SOURCES = sorted(Path(nckit.__file__).parent.glob("*.py"))
+INEXACT_MODULES = {"math", "decimal", "statistics"}
+
+
+def _is_fraction_call(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+    )
+
+
+def inexact_spots(source: str) -> list[str]:
+    """One "line: what" string per construct that could bring in a float."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        what = None
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            what = f"inexact literal {node.value!r}"
+        elif isinstance(node, ast.Name) and node.id == "float":
+            what = "the name float"
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] in INEXACT_MODULES]
+            what = f"import of {names[0]}" if names else None
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in INEXACT_MODULES:
+                what = f"import from {node.module}"
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            what = None if _is_fraction_call(node.left) else "true division"
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            what = "true division"
+        if what:
+            found.append((node.lineno, what))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_is_exact(path):
+    assert inexact_spots(path.read_text(encoding="utf-8")) == []
+
+
+def test_lint_catches_each_pattern():
+    bad = (
+        "import math\n"
+        "from decimal import Decimal\n"
+        "x = 0.5\n"
+        "y = 2j\n"
+        "z = float(1)\n"
+        "w = a / b\n"
+        "w /= 3\n"
+        "ok = Fraction(1) / b\n"
+    )
+    assert inexact_spots(bad) == [
+        "1: import of math",
+        "2: import from decimal",
+        "3: inexact literal 0.5",
+        "4: inexact literal 2j",
+        "5: the name float",
+        "6: true division",
+        "7: true division",
+    ]

@@ -110,7 +110,7 @@ def test_pow_small_cases():
 # -- substitution ------------------------------------------------------------
 
 def test_substitute_polynomial_value():
-    p = Polynomial.from_variable(M1, 2)
+    p = Polynomial.from_variable(M1) ** 2
     q = p.substitute({M1: Polynomial.from_variable(C1) + 1})
     assert q == P("1*C1^2 + 2*C1 + 1")
 
@@ -136,7 +136,7 @@ def test_evaluate_requires_all_variables():
 # -- rendering and parsing ---------------------------------------------------
 
 def test_render_explicit_coefficients_and_order():
-    q = Polynomial.from_variable(C2) + Polynomial.from_variable(C1, 2)
+    q = Polynomial.from_variable(C2) + Polynomial.from_variable(C1) ** 2
     # degree 2 term precedes degree 1 term under graded lex
     assert q.render() == "1*C1^2 + 1*C2"
 
@@ -154,7 +154,7 @@ def test_render_factor_order_is_ascending_variables():
 
 def test_grlex_tie_break_uses_largest_variable():
     # same degree: the monomial with the larger top variable renders first
-    p = Polynomial.from_variable(M1) * Polynomial.from_variable(M2) + Polynomial.from_variable(M1, 2) * 1
+    p = Polynomial.from_variable(M1) * Polynomial.from_variable(M2) + Polynomial.from_variable(M1) ** 2 * 1
     assert p.render() == "1*M1*M2 + 1*M1^2"
 
 
@@ -171,7 +171,7 @@ def test_parse_requires_explicit_coefficient():
 
 def test_parse_merges_duplicate_terms():
     assert P("1*M1 + 2*M1") == P("3*M1")
-    assert P("1*M1*M1") == Polynomial.from_variable(M1, 2)
+    assert P("1*M1*M1") == Polynomial.from_variable(M1) ** 2
 
 
 @settings(max_examples=80, deadline=None)

@@ -68,6 +68,47 @@ def test_add_mul_window_rules():
     assert h.coeff(3) == 1 and h.coeff(4) == 2
 
 
+small_fractions = st.one_of(
+    st.just(F(0)), st.fractions(min_value=F(-4), max_value=F(4), max_denominator=4)
+)
+small_series = st.builds(
+    LaurentSeries, st.integers(-3, 3), st.lists(small_fractions, min_size=1, max_size=6)
+)
+
+
+def pairwise_product(f, g, order):
+    """Coefficients of f * g below `order`, accumulated over stored index pairs."""
+    acc = {}
+    for i, ci in enumerate(f.coeffs, start=f.low):
+        for j, cj in enumerate(g.coeffs, start=g.low):
+            if i + j < order:
+                acc[i + j] = acc.get(i + j, Polynomial.zero()) + ci * cj
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_series, small_series)
+def test_mul_matches_pairwise_accumulation(f, g):
+    h = f * g
+    order = min(f.order + g.low, g.order + f.low)
+    assert h.order == order
+    if not f.is_zero and not g.is_zero:
+        assert h.low == f.low + g.low
+    expected = pairwise_product(f, g, order)
+    for k in range(f.low + g.low, order):
+        assert h.coeff(k) == expected.get(k, Polynomial.zero())
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_symbolic_recip_multiplies_to_one(order):
+    m = standard_series("M", order)
+    for f in (m, m.hadamard(standard_series("Delta", order))):
+        h = f * f.recip()
+        assert (h.low, h.order) == (0, order - 1)
+        assert h.coeff(0) == 1
+        assert all(h.coeff(k) == 0 for k in range(1, h.order))
+
+
 def test_hadamard_rule():
     f = series_of(0, 2, 3, 4)
     g = series_of(1, 5, 7, 11)

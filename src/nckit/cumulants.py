@@ -1,8 +1,12 @@
 """Transforms between moment and cumulant sequences, with a weight parameter.
 
-The forward direction expands each moment as a weighted sum of cumulant
-products over noncrossing partitions.  Three independent routes invert it,
-chosen by name in one table read by ``cumulants_from_moments``:
+The forward direction expands each moment as Yoshida's weighted sum of
+cumulant products over noncrossing partitions.  The first-block recursion
+computes it without enumerating: split the sum at the block that contains 1,
+whose gaps fill independently.  Run over Fractions, the same recursion
+converts numeric sequences in both directions without a symbolic table.
+Three independent routes invert the forward table, chosen by name in one
+table read by ``cumulants_from_moments``:
 
 * ``mobius``   -- back-substitution for the top column (the entries against
   the full partition) of the inverse of the weighted incidence matrix on the
@@ -41,7 +45,6 @@ from .ncpart import (
     kreweras_inv,
     leq,
     restrict,
-    weight,
     zeta,
     zeta_arc_form,
     zeta_c,
@@ -56,13 +59,7 @@ from .poly import (
     poly_product,
     poly_sum,
 )
-from .series import (
-    LaurentSeries,
-    constant_series,
-    identity_series,
-    monomial_series,
-    standard_series,
-)
+from .series import monomial_series, standard_series
 from .trees import (
     Arrangement,
     cover_counts,
@@ -88,7 +85,6 @@ __all__ = [
     "METHOD_MOBIUS",
     "METHOD_TREES",
     "METHOD_YOSHIDA",
-    "NoConvergenceAtOrder",
     "PreconditionViolated",
     "TransformTable",
     "boolean_cumulants",
@@ -96,7 +92,6 @@ __all__ = [
     "cumulants_from_moments",
     "free_cumulants",
     "moments_from_cumulants",
-    "moments_series_fixed_point",
     "mu_column_via_trees",
     "numeric_convert",
     "product_cumulant",
@@ -107,10 +102,6 @@ __all__ = [
     "w_rho",
     "w_rho_via_arrangements",
 ]
-
-
-class NoConvergenceAtOrder(Exception):
-    """The fixed-point iteration hit its defensive bound without stabilizing."""
 
 
 class LengthMismatch(Exception):
@@ -253,21 +244,47 @@ def product_cumulant(p: NoncrossingPartition) -> Polynomial:
     return poly_product(cumulant(len(b)) for b in p.blocks)
 
 
+def _first_block(seq, deltas, inverse: bool, one) -> list:
+    """Yoshida's formula split at the block that contains 1, over any ring.
+
+    With G = 1 + sum_g d_g*M_g*z^g and P[j][b] = [z^b] G^j*(1 + sum_t M_t*z^t),
+    M_n = sum_k C_k*P[k-1][n-k]: the k - 1 gaps of the first block fill
+    independently (a gap of g elements contributes d_g*M_g) and the elements
+    after it are free.  Step n fills the anti-diagonal j + b = n - 1 of P from
+    earlier ones.  C_n enters M_n with coefficient 1, so the inverse
+    (``seq`` holds moments) is a triangular solve.  Returns the other sequence.
+    """
+    zero = one - one
+    moments, cumulants, gaps, rows = [one], [], [one], []
+    for n, (x, d) in enumerate(zip(seq, deltas), start=1):
+        rows.append([])
+        rows[0].append(moments[-1])
+        for j in range(1, n):
+            b, prev = n - 1 - j, rows[j - 1]
+            rows[j].append(sum((gaps[a] * prev[b - a] for a in range(b + 1)), zero))
+        rest = sum((cumulants[k - 1] * rows[k - 1][n - k] for k in range(1, n)), zero)
+        c, m = (x - rest, x) if inverse else (x, x + rest)
+        cumulants.append(c)
+        moments.append(m)
+        gaps.append(d * m)
+    return cumulants if inverse else moments[1:]
+
+
 @lru_cache(maxsize=None)
-def _moment_entry(k: int) -> Polynomial:
-    return poly_sum(weight(p) * product_cumulant(p) for p in enumerate_nc(k))
+def _moment_entries(n: int) -> tuple:
+    def variables(family):
+        return [Polynomial.from_variable(family(k)) for k in range(1, n + 1)]
+
+    return tuple(
+        _first_block(variables(cumulant), variables(delta), False, Polynomial.one())
+    )
 
 
 def moments_from_cumulants(n: int) -> TransformTable:
     """Each moment as the weighted sum of cumulant products over the lattice."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return TransformTable(
-        n,
-        DIRECTION_MOMENTS,
-        METHOD_YOSHIDA,
-        [_moment_entry(k) for k in range(1, n + 1)],
-    )
+    return TransformTable(n, DIRECTION_MOMENTS, METHOD_YOSHIDA, _moment_entries(n))
 
 
 # -- inverse direction: three routes ----------------------------------------
@@ -384,38 +401,15 @@ def boolean_cumulants(n: int) -> TransformTable:
     return specialize_table(cumulants_from_moments(n), FLAVOR_BOOLEAN)
 
 
-# -- series fixed point ------------------------------------------------------
-
-def moments_series_fixed_point(order: int) -> LaurentSeries:
-    """The moment series as the fixed point of its defining functional equation.
-
-    Solves f = z / (1 - z * C(f (.) Delta)) by iteration, where (.) is the
-    coefficientwise product; each pass gains at least one order, so the
-    iteration bound can only trip on an implementation bug.
-    """
-    if order < 2:
-        raise ValueError("need order >= 2 for a visible moment")
-    c = standard_series("C", order)
-    d = standard_series("Delta", order)
-    z = identity_series(order)
-    current = z
-    for _ in range(order):
-        inner = c.compose(current.hadamard(d))
-        nxt = (z * (constant_series(1, order) - z * inner).recip()).truncate(order)
-        if nxt == current:
-            return current
-        current = nxt
-    raise NoConvergenceAtOrder(f"no fixed point within {order} iterations")
-
-
 # -- numeric conversion ------------------------------------------------------
 
 def numeric_convert(values, deltas, direction: str) -> list:
-    """Evaluate the cached symbolic table at rational inputs.
+    """Convert an exact rational sequence by the first-block recursion.
 
     ``values`` holds the input sequence: cumulants when asking for direction
     "moments", moments when asking for direction "cumulants".  ``deltas``
-    holds one weight value per entry.
+    holds one weight value per entry.  No symbolic table is built and nothing
+    is cached; the cost grows as n^3 operations on Fractions.
     """
     if direction not in _DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -425,18 +419,9 @@ def numeric_convert(values, deltas, direction: str) -> list:
         raise LengthMismatch(
             f"{len(values)} sequence values but {len(deltas)} weight values"
         )
-    n = len(values)
-    if n == 0:
-        return []
-    if direction == DIRECTION_MOMENTS:
-        table = moments_from_cumulants(n)
-        source = cumulant
-    else:
-        table = cumulants_from_moments(n)
-        source = moment
-    assignment = {source(i): values[i - 1] for i in range(1, n + 1)}
-    assignment.update({delta(i): deltas[i - 1] for i in range(1, n + 1)})
-    return [table.entry(k).evaluate(assignment) for k in range(1, n + 1)]
+    return _first_block(
+        values, deltas, direction == DIRECTION_CUMULANTS, Fraction(1)
+    )
 
 
 # -- cancellation apparatus --------------------------------------------------

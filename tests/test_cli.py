@@ -375,6 +375,31 @@ def test_convert_random_round_trip_through_cli(capsys):
         ]
 
 
+def test_convert_long_sequence_round_trip(capsys):
+    # 40 entries: far past any size a symbolic table could be built for
+    import random
+    from fractions import Fraction
+
+    rng = random.Random(40)
+
+    def rationals():
+        return ",".join(
+            str(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(40)
+        )
+
+    seq, dels = rationals(), rationals()
+    rc, out, err = run_cli(
+        capsys, "convert", f"--moments={seq}", f"--deltas={dels}",
+        "--direction", "cumulants",
+    )
+    assert (rc, err) == (0, "")
+    rc, back, err = run_cli(
+        capsys, "convert", f"--cumulants={out.strip()}", f"--deltas={dels}",
+        "--direction", "moments",
+    )
+    assert (rc, back, err) == (0, seq + "\n", "")
+
+
 def test_convert_usage_errors(capsys):
     # M1 fits the int-to-string digit limit, C2 = M2 - M1^2 does not
     long_m1 = "1" + "0" * (sys.get_int_max_str_digits() // 2 + 1)

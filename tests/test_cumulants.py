@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nckit.cumulants import (
     CUMULANT_METHODS,
@@ -21,7 +22,6 @@ from nckit.cumulants import (
     cumulants_from_moments,
     free_cumulants,
     moments_from_cumulants,
-    moments_series_fixed_point,
     mu_column_via_trees,
     numeric_convert,
     product_cumulant,
@@ -39,10 +39,17 @@ from nckit.ncpart import (
     finest,
     kreweras_inv,
     leq,
+    weight,
     zeta,
     zeta_c,
 )
 from nckit.poly import Polynomial, cumulant, delta, moment, poly_sum
+from nckit.series import (
+    LaurentSeries,
+    constant_series,
+    identity_series,
+    standard_series,
+)
 from nckit.trees import (
     enumerate_arrangements,
     partition_of,
@@ -73,6 +80,17 @@ def test_forward_golden_tables():
     table = moments_from_cumulants(4)
     for k, text in GOLDEN_MOMENTS.items():
         assert table.entry(k).render() == text
+
+
+def yoshida_moment(k):
+    """Yoshida's formula by enumeration: the weighted sum over the lattice."""
+    return poly_sum(weight(p) * product_cumulant(p) for p in enumerate_nc(k))
+
+
+def test_forward_table_matches_yoshida_enumeration():
+    oracle = tuple(yoshida_moment(k) for k in range(1, 9))
+    for n in range(1, 9):
+        assert moments_from_cumulants(n).entries == oracle[:n]
 
 
 def test_inverse_golden_tables():
@@ -230,6 +248,26 @@ def test_numeric_round_trip_random():
         assert numeric_convert(moms, ds, DIRECTION_CUMULANTS) == vals
 
 
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_numeric_convert_evaluates_the_symbolic_tables(data):
+    n = data.draw(st.integers(1, 7))
+    values = data.draw(st.lists(small_rationals, min_size=n, max_size=n))
+    deltas = data.draw(st.lists(small_rationals, min_size=n, max_size=n))
+    weights = {delta(k): deltas[k - 1] for k in range(1, n + 1)}
+    for direction, table, source in (
+        (DIRECTION_MOMENTS, moments_from_cumulants(n), cumulant),
+        (DIRECTION_CUMULANTS, cumulants_from_moments(n), moment),
+    ):
+        assignment = {source(k): values[k - 1] for k in range(1, n + 1)}
+        assignment.update(weights)
+        expected = [table.entry(k).evaluate(assignment) for k in range(1, n + 1)]
+        assert numeric_convert(values, deltas, direction) == expected
+
+
 def test_numeric_convert_examples():
     assert numeric_convert([1, 1, 1], [1, 1, 1], DIRECTION_CUMULANTS) == [1, 0, 0]
     assert numeric_convert([0, 0, 0, 0], [2, 3, 4, 5], DIRECTION_CUMULANTS) == [
@@ -284,8 +322,6 @@ def test_free_and_boolean_tables():
 
 
 def test_specializations_match_series_oracles():
-    from nckit.series import standard_series
-
     f = standard_series("F", 6)
     b = standard_series("B", 6)
     free = free_cumulants(6)
@@ -304,45 +340,38 @@ def test_specialize_moments_direction():
         specialize_table(moments_from_cumulants(2), "classical")
 
 
-# -- fixed point -------------------------------------------------------------
+# -- the forward series equation ---------------------------------------------
 
-def test_fixed_point_reproduces_forward_table():
-    fp = moments_series_fixed_point(8)
-    table = moments_from_cumulants(6)
-    for k in range(1, 7):
-        assert fp.coeff(k + 1) == table.entry(k)
-    assert fp.coeff(1) == 1
-    assert fp.coeff(2) == Polynomial.from_variable(cumulant(1))
+def moment_series(table, order):
+    """z + M1*z^2 + M2*z^3 + ... with each M_k taken from the table."""
+    return LaurentSeries(1, [1] + [table.entry(k) for k in range(1, order - 1)], order)
 
 
-def test_fixed_point_requires_order():
-    with pytest.raises(ValueError):
-        moments_series_fixed_point(1)
+def solve_series_equation(f, inner):
+    """z / (1 - z*C(inner)), on the window of f."""
+    z = identity_series(f.order)
+    c = standard_series("C", f.order)
+    one = constant_series(1, f.order)
+    return (z * (one - z * c.compose(inner)).recip()).truncate(f.order)
 
 
-def test_fixed_point_free_specialization():
-    # with all weights at 1 the fixed point must satisfy the plain
+def test_forward_series_solves_delta_equation():
+    # the forward table is the solution of f = z / (1 - z*C(f (.) Delta)),
+    # where (.) is the coefficientwise product
+    order = 8
+    f = moment_series(moments_from_cumulants(order - 2), order)
+    assert f.coeff(2) == Polynomial.from_variable(cumulant(1))
+    d = standard_series("Delta", order)
+    assert solve_series_equation(f, f.hadamard(d)) == f
+
+
+def test_forward_series_free_specialization():
+    # with all weights at 1 the moment series must satisfy the plain
     # compositional relation f = z / (1 - z*C(f))
-    from nckit.series import standard_series, identity_series, constant_series
-
-    order = 7
-    fp = moments_series_fixed_point(order)
-    ones = {}
-    for k in range(fp.low, fp.order):
-        for v in fp.coeff(k).variables():
-            if v.symbol().startswith("d"):
-                ones[v] = Fraction(1)
-    from nckit.series import LaurentSeries
-
-    free_fp = LaurentSeries(
-        fp.low, [fp.coeff(k).substitute(ones) for k in range(fp.low, fp.order)]
-    )
-    c = standard_series("C", order)
-    z = identity_series(order)
-    rhs = (z * (constant_series(1, order) - z * c.compose(free_fp)).recip()).truncate(
-        order
-    )
-    assert rhs == free_fp
+    order = 8
+    table = specialize_table(moments_from_cumulants(order - 2), FLAVOR_FREE)
+    f = moment_series(table, order)
+    assert solve_series_equation(f, f) == f
 
 
 # -- cancellation apparatus --------------------------------------------------

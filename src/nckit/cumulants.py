@@ -10,7 +10,8 @@ table read by ``cumulants_from_moments``:
 
 * ``mobius``   -- back-substitution for the top column (the entries against
   the full partition) of the inverse of the weighted incidence matrix on the
-  noncrossing partition lattice; the default route;
+  noncrossing partition lattice, walking only the coarsenings of each
+  partition (its up-set, built from block merges); the default route;
 * ``trees``    -- a signed sum over prime plane trees, each contributing the
   moment product of its partition times its weight; the trees of size n are
   summed once into one column of (partition, signed weight) pairs;
@@ -36,6 +37,7 @@ import csv
 import io
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .ncpart import (
     NoncrossingPartition,
@@ -289,22 +291,45 @@ def moments_from_cumulants(n: int) -> TransformTable:
 
 # -- inverse direction: three routes ----------------------------------------
 
+def _coarsenings(n: int) -> list:
+    """Per partition of ``_linear_extension(n)``, the bitset of the indices of
+    the partitions above it: its own bit or'd with the bitsets of its covers,
+    the merges of two blocks that stay noncrossing, filled coarsest first."""
+    parts = _linear_extension(n)
+    index = {p.blocks: i for i, p in enumerate(parts)}
+    up = [1 << i for i in range(len(parts))]
+    for i in range(len(parts) - 1, -1, -1):
+        blocks = parts[i].blocks
+        for a, b in combinations(blocks, 2):
+            rest = [c for c in blocks if c is not a and c is not b]
+            merged = tuple(sorted(rest + [tuple(sorted(a + b))]))
+            up[i] |= up[index.get(merged, i)]  # a crossing merge is not indexed
+    return up
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @lru_cache(maxsize=None)
 def _mu_top_column(n: int) -> tuple:
     """Pairs (partition, inverse-matrix entry against the full partition).
 
-    Back-substitution never divides: the diagonal entries are 1.
+    Back-substitution over the coarsenings of each partition; it never
+    divides, because the diagonal entries are 1.
     """
-    parts = _linear_extension(n)
-    values: dict[NoncrossingPartition, Polynomial] = {parts[-1]: Polynomial.one()}
+    parts, up = _linear_extension(n), _coarsenings(n)
+    values = [Polynomial.one()] * len(parts)
     for i in range(len(parts) - 2, -1, -1):
-        p = parts[i]
-        values[p] = -poly_sum(
-            zeta_arc_form(p, q) * values[q]
-            for q in parts[i + 1 :]
-            if leq(p, q)
+        values[i] = -poly_sum(
+            zeta_arc_form(parts[i], parts[j]) * values[j]
+            for j in _bits(up[i] ^ (1 << i))
         )
-    return tuple((p, values[p]) for p in parts)
+    return tuple(zip(parts, values))
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ Partitions render as blocks joined by '|' with base-36 element digits, e.g.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -52,7 +53,7 @@ def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
 class NoncrossingPartition:
     """Immutable noncrossing partition; hashable, canonically ordered blocks."""
 
-    __slots__ = ("ground", "blocks", "_hash")
+    __slots__ = ("ground", "blocks", "_hash", "_owner", "_masks")
 
     def __init__(self, blocks: Iterable[Iterable[int]], ground: Iterable[int] | None = None):
         seen: set[int] = set()
@@ -81,9 +82,17 @@ class NoncrossingPartition:
         self._init_raw(g, tuple(sorted(clean)))
 
     def _init_raw(self, ground: tuple, blocks: tuple) -> None:
+        # the block structure, computed once: the index of the block owning
+        # each element, and one bitmask per block over ground positions
+        owner = {x: k for k, b in enumerate(blocks) for x in b}
+        masks = [0] * len(blocks)
+        for i, x in enumerate(ground):
+            masks[owner[x]] |= 1 << i
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_hash", hash((ground, blocks)))
+        object.__setattr__(self, "_owner", owner)
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("NoncrossingPartition is immutable")
@@ -106,10 +115,10 @@ class NoncrossingPartition:
         return len(self.blocks)
 
     def block_of(self, x: int) -> tuple:
-        for b in self.blocks:
-            if b[0] <= x <= b[-1] and x in b:
-                return b
-        raise KeyError(f"{x} is not in the ground set")
+        try:
+            return self.blocks[self._owner[x]]
+        except KeyError:
+            raise KeyError(f"{x} is not in the ground set") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NoncrossingPartition):
@@ -232,38 +241,41 @@ def arcs(p: NoncrossingPartition) -> tuple:
     return tuple(out)
 
 
+def _arc_monomial(p: NoncrossingPartition, host) -> Polynomial:
+    """Product over the arcs (i, j) of p of d_m, built as one term, where m
+    counts the members of host(i), a sorted tuple, strictly between i and j."""
+    exps: dict[int, int] = {}
+    for b in p.blocks:
+        h = host(b[0])
+        for i, j in zip(b, b[1:]):
+            m = bisect_left(h, j) - bisect_right(h, i)
+            if m:
+                exps[m] = exps.get(m, 0) + 1
+    return Polynomial._raw({tuple((delta(m), e) for m, e in sorted(exps.items())): Fraction(1)})
+
+
 def weight(p: NoncrossingPartition) -> Polynomial:
     """Product of d_g over arcs, g = number of ground elements inside the arc."""
-    pos = {x: i for i, x in enumerate(p.ground)}
-    factors = []
-    for i, j in arcs(p):
-        g = pos[j] - pos[i] - 1
-        if g:
-            factors.append(delta(g))
-    return poly_product(factors)
+    return _arc_monomial(p, lambda x: p.ground)
 
 
 def leq(p: NoncrossingPartition, q: NoncrossingPartition) -> bool:
     """Refinement order: every block of p sits inside a block of q."""
     if p.ground != q.ground:
         raise GroundMismatch("cannot compare partitions of different ground sets")
-    owner = {x: b for b in q.blocks for x in b}
-    return all(set(b) <= set(owner[b[0]]) for b in p.blocks)
+    owner, masks = q._owner, q._masks
+    return all(m & masks[owner[b[0]]] == m for b, m in zip(p.blocks, p._masks))
 
 
 def restrict(p: NoncrossingPartition, subset: Iterable[int]) -> NoncrossingPartition:
     """Restriction to a union of blocks; raises NotBlockUnion otherwise."""
     target = set(subset)
-    if not target <= set(p.ground):
+    if not target.issubset(p._owner):
         raise NotBlockUnion("subset stretches outside the ground set")
-    chosen = [b for b in p.blocks if b[0] in target]
-    covered: set[int] = set()
+    chosen = [p.blocks[k] for k in sorted({p._owner[x] for x in target})]
     for b in chosen:
-        if not set(b) <= target:
+        if not target.issuperset(b):
             raise NotBlockUnion(f"block {b} is split by the subset")
-        covered.update(b)
-    if covered != target:
-        raise NotBlockUnion("subset is not a union of blocks")
     return NoncrossingPartition._trusted(chosen, tuple(sorted(target)))
 
 
@@ -315,18 +327,12 @@ def smallest_interval_above(p: NoncrossingPartition) -> NoncrossingPartition:
     block containing it; no other block can straddle that boundary without
     crossing, so the walk is well defined.
     """
-    if not p.blocks:
-        return p
-    owner = {x: b for b in p.blocks for x in b}
-    ground = p.ground
-    pos = {x: i for i, x in enumerate(ground)}
-    out = []
-    start = 0
+    ground, owner, masks = p.ground, p._owner, p._masks
+    out, start = [], 0
     while start < len(ground):
-        block = owner[ground[start]]
-        stop = pos[block[-1]]
-        out.append(ground[start : stop + 1])
-        start = stop + 1
+        stop = masks[owner[ground[start]]].bit_length()
+        out.append(ground[start:stop])
+        start = stop
     return NoncrossingPartition._trusted(out, ground)
 
 
@@ -362,14 +368,7 @@ def zeta_arc_form(p: NoncrossingPartition, q: NoncrossingPartition) -> Polynomia
     """
     if not leq(p, q):
         return Polynomial.zero()
-    owner = {x: b for b in q.blocks for x in b}
-    factors = []
-    for i, j in arcs(p):
-        block = owner[i]
-        m = bisect_left(block, j) - bisect_right(block, i)
-        if m:
-            factors.append(delta(m))
-    return poly_product(factors)
+    return _arc_monomial(p, q.block_of)
 
 
 def zeta_c(a: NoncrossingPartition, b: NoncrossingPartition) -> Polynomial:
@@ -388,13 +387,9 @@ def zeta_c_closed(a: NoncrossingPartition, b: NoncrossingPartition) -> Polynomia
     _require_standard_ground(b)
     if not leq(a, b):
         return Polynomial.zero()
-    owner = {x: blk for blk in a.blocks for x in blk}
-    factors = []
-    for block in b.blocks:
-        if 1 in block:
-            continue
-        if owner[block[0]] is owner[block[-1]]:
-            continue
-        hull = range(block[0], block[-1] + 1)
-        factors.append(delta(iota(restrict(a, hull)) - 1))
-    return poly_product(factors)
+    owner = a._owner
+    return poly_product(
+        delta(iota(restrict(a, range(block[0], block[-1] + 1))) - 1)
+        for block in b.blocks
+        if 1 not in block and owner[block[0]] != owner[block[-1]]
+    )

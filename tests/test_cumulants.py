@@ -15,6 +15,7 @@ from nckit.cumulants import (
     LengthMismatch,
     PreconditionViolated,
     TransformTable,
+    _coarsenings,
     _linear_extension,
     _mu_top_column,
     boolean_cumulants,
@@ -41,6 +42,7 @@ from nckit.ncpart import (
     leq,
     weight,
     zeta,
+    zeta_arc_form,
     zeta_c,
 )
 from nckit.poly import Polynomial, cumulant, delta, moment, poly_sum
@@ -178,6 +180,32 @@ def test_mu_column_inverts_zeta():
         for p, _ in column:
             row = poly_sum(zeta(p, q) * value for q, value in column)
             assert row == (1 if p == top else 0)
+
+
+def mu_top_column_by_scan(n):
+    """The top column by back-substitution over every later partition,
+    keeping those above p by ``leq``."""
+    parts = _linear_extension(n)
+    values = {parts[-1]: Polynomial.one()}
+    for i in range(len(parts) - 2, -1, -1):
+        p = parts[i]
+        values[p] = -poly_sum(
+            zeta_arc_form(p, q) * values[q] for q in parts[i + 1 :] if leq(p, q)
+        )
+    return tuple((p, values[p]) for p in parts)
+
+
+def test_mu_column_matches_leq_scan():
+    for n in range(1, 8):
+        assert _mu_top_column(n) == mu_top_column_by_scan(n), n
+
+
+def test_coarsenings_are_the_up_sets():
+    for n in range(1, 8):
+        parts = _linear_extension(n)
+        for p, up in zip(parts, _coarsenings(n)):
+            above = {j for j, q in enumerate(parts) if leq(p, q)}
+            assert {j for j in range(len(parts)) if up >> j & 1} == above, p
 
 
 def test_mu_n2_explicit():

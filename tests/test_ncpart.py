@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nckit.poly import Polynomial
+from nckit.poly import Polynomial, delta, poly_product
 from nckit.ncpart import (
     GroundMismatch,
     NoncrossingPartition,
@@ -275,6 +275,71 @@ def test_zeta_c_against_closed_form_exhaustive():
         for a in enumerate_nc(n):
             for b in enumerate_nc(n):
                 assert zeta_c(a, b) == zeta_c_closed(a, b), (a, b)
+
+
+# -- block structure against the definitions ---------------------------------
+
+def leq_by_containment(p, q):
+    return all(any(set(b) <= set(c) for c in q.blocks) for b in p.blocks)
+
+
+def block_by_scan(p, x):
+    return next(b for b in p.blocks if x in b)
+
+
+def weight_by_positions(p):
+    pos = {x: i for i, x in enumerate(p.ground)}
+    gaps = (pos[j] - pos[i] - 1 for i, j in arcs(p))
+    return poly_product(delta(g) for g in gaps if g)
+
+
+def interval_closure_by_walk(p):
+    owner = {x: b for b in p.blocks for x in b}
+    pos = {x: i for i, x in enumerate(p.ground)}
+    out, start = [], 0
+    while start < p.size:
+        stop = pos[owner[p.ground[start]][-1]]
+        out.append(p.ground[start : stop + 1])
+        start = stop + 1
+    return NoncrossingPartition(out, p.ground)
+
+
+def relabel(p, ground):
+    """p, on 1..n, moved order-preservingly onto a sorted ground of n integers."""
+    return NoncrossingPartition([[ground[x - 1] for x in b] for b in p.blocks], ground)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(enumerate_nc(7)),
+    st.sampled_from(enumerate_nc(7)),
+    st.sets(st.integers(-20, 40), min_size=7, max_size=7).map(sorted),
+    st.data(),
+)
+def test_block_structure_matches_definitions(p, q, ground, data):
+    cut = data.draw(st.sets(st.sampled_from(p.blocks), min_size=1))
+    sub = restrict(p, [x for b in cut for x in b])
+    assert sub.blocks == tuple(sorted(cut))
+    for b in p.blocks:
+        if len(b) > 1:
+            with pytest.raises(NotBlockUnion):
+                restrict(p, [x for x in p.ground if x != b[-1]])
+    other = relabel(data.draw(st.sampled_from(enumerate_nc(sub.size))), sub.ground)
+    moved_p, moved_q = relabel(p, ground), relabel(q, ground)
+    for a, b in [(p, q), (q, p), (moved_p, moved_q), (sub, other), (other, sub)]:
+        assert leq(a, b) == leq_by_containment(a, b), (a, b)
+        assert zeta_arc_form(a, b) == zeta(a, b), (a, b)
+    for a in (p, moved_p, sub, other):
+        for x in a.ground:
+            assert a.block_of(x) == block_by_scan(a, x)
+        with pytest.raises(KeyError):
+            a.block_of(a.ground[0] - 1)
+        assert weight(a) == weight_by_positions(a)
+        assert smallest_interval_above(a) == interval_closure_by_walk(a)
+    for a, b in [(p, moved_q), (sub, q), (other, moved_p)]:
+        if a.ground != b.ground:
+            with pytest.raises(GroundMismatch):
+                leq(a, b)
 
 
 def test_zeta_c_support():

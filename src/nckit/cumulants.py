@@ -16,7 +16,8 @@ table read by ``cumulants_from_moments``:
   moment product of its partition times its weight; the trees of size n are
   summed once into one column of (partition, signed weight) pairs;
 * ``lagrange`` -- residue extraction from a Laurent-series identity that
-  involves a Hadamard product.
+  involves a Hadamard product, in one pass with a running power of
+  1/(M⊙Δ).
 
 All three must produce identical polynomials; the test suite enforces this.
 Setting every weight variable to 1 specializes to free cumulants, setting
@@ -333,11 +334,6 @@ def _mu_top_column(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _mobius_entry(k: int) -> Polynomial:
-    return poly_sum(val * product_moment(p) for p, val in _mu_top_column(k))
-
-
-@lru_cache(maxsize=None)
 def _tree_column(n: int) -> tuple:
     """Pairs (partition, signed weight of the prime trees mapping to it).
 
@@ -353,43 +349,54 @@ def _tree_column(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _trees_entry(k: int) -> Polynomial:
-    return poly_sum(val * product_moment(p) for p, val in _tree_column(k))
+def _column_entry(column, k: int) -> Polynomial:
+    """Entry k of a column route: the column of size k against moment products."""
+    return poly_sum(val * product_moment(p) for p, val in column(k))
+
+
+def _column_entries(column):
+    return lambda n: tuple(_column_entry(column, k) for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
-def _lagrange_entry(k: int) -> Polynomial:
-    if k == 1:
-        return Polynomial.from_variable(moment(1))
-    n_ord = k + 2
-    m = standard_series("M", n_ord)
-    d = standard_series("Delta", n_ord)
-    main = m.derivative() * m.recip().power(2)
+def _lagrange_entries(n: int) -> tuple:
+    """C_k = 1/(k-1) [z^-1] (M'/M^2 - z^-2) * h^(k-1) with h = 1/(M⊙Δ), k >= 2.
+
+    One pass with a running power of h; each residue is one convolution.  The
+    last entry reads h^(n-1) only up to z^-1, so h^k keeps only the exponents
+    below n - k.
+    """
+    m = standard_series("M", n + 2)
+    inv = m.recip()
+    main = m.derivative() * (inv * inv)
     base = main - monomial_series(-2, 1, main.order)
-    ratio = base * m.hadamard(d).recip().power(k - 1)
-    return ratio.coeff(-1) * Fraction(1, k - 1)
+    h = m.hadamard(standard_series("Delta", n + 2)).recip()
+    entries, pw = [Polynomial.from_variable(moment(1))], h
+    for k in range(2, n + 1):
+        residue = poly_sum(base._at(i) * pw._at(-1 - i) for i in range(base.low, -pw.low))
+        entries.append(residue * Fraction(1, k - 1))
+        pw = (pw * h).truncate(n - k)
+    return tuple(entries)
 
 
 _CUMULANT_ENTRIES = {
-    METHOD_MOBIUS: _mobius_entry,
-    METHOD_TREES: _trees_entry,
-    METHOD_LAGRANGE: _lagrange_entry,
+    METHOD_MOBIUS: _column_entries(_mu_top_column),
+    METHOD_TREES: _column_entries(_tree_column),
+    METHOD_LAGRANGE: _lagrange_entries,
 }
 
 
 def cumulants_from_moments(n: int, method: str = DEFAULT_METHOD) -> TransformTable:
     """Each cumulant in terms of the moments, by the named inverse route."""
     try:
-        entry = _CUMULANT_ENTRIES[method]
+        entries = _CUMULANT_ENTRIES[method]
     except KeyError:
         raise ValueError(
             f"unknown cumulant method {method!r}; expected one of {CUMULANT_METHODS}"
         ) from None
     if n < 1:
         raise ValueError("need n >= 1")
-    return TransformTable(
-        n, DIRECTION_CUMULANTS, method, [entry(k) for k in range(1, n + 1)]
-    )
+    return TransformTable(n, DIRECTION_CUMULANTS, method, entries(n))
 
 
 def mu_column_via_trees(p: NoncrossingPartition) -> Polynomial:

@@ -185,17 +185,22 @@ class LaurentSeries:
         return LaurentSeries(-self.low, [x * c for x in s], self.order - 2 * self.low)
 
     def power(self, k: int) -> "LaurentSeries":
-        """Integer power; power(f, 0) is 1 on the window [0, order - low)."""
+        """Integer power by binary squaring; power(f, 0) is 1 on the window
+        [0, order - low).  Any grouping of the k factors gives the same window."""
         if not isinstance(k, int):
             raise TypeError("series powers must be integers")
         if k == 0:
             return constant_series(1, self.order - self.low)
         if k < 0:
             return self.recip().power(-k)
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
+        result, square = None, self
+        while True:
+            if k & 1:
+                result = square if result is None else result * square
+            k >>= 1
+            if not k:
+                return result
+            square = square * square
 
     __pow__ = power
 

@@ -475,9 +475,11 @@ def wrong_trees_route(monkeypatch):
     d1 = Polynomial.from_variable(delta(1))
     m1 = Polynomial.from_variable(moment(1))
 
-    def wrong(k):
-        bump = d1 * m1**k if k >= 2 else Polynomial.zero()
-        return right(k) + bump
+    def wrong(n):
+        return tuple(
+            entry + (d1 * m1**k if k >= 2 else Polynomial.zero())
+            for k, entry in enumerate(right(n), start=1)
+        )
 
     monkeypatch.setitem(cm._CUMULANT_ENTRIES, cm.METHOD_TREES, wrong)
 

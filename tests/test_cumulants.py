@@ -15,7 +15,9 @@ from nckit.cumulants import (
     LengthMismatch,
     PreconditionViolated,
     TransformTable,
+    _CUMULANT_ENTRIES,
     _coarsenings,
+    _lagrange_entries,
     _linear_extension,
     _mu_top_column,
     boolean_cumulants,
@@ -50,6 +52,7 @@ from nckit.series import (
     LaurentSeries,
     constant_series,
     identity_series,
+    monomial_series,
     standard_series,
 )
 from nckit.trees import (
@@ -114,6 +117,36 @@ def test_triple_agreement_small():
         tables = [cumulants_from_moments(n, m) for m in CUMULANT_METHODS]
         for other in tables[1:]:
             assert other.entries == tables[0].entries
+
+
+def lagrange_entry(k):
+    """Entry k of the lagrange route, built from scratch at order k + 2."""
+    if k == 1:
+        return Polynomial.from_variable(moment(1))
+    n_ord = k + 2
+    m = standard_series("M", n_ord)
+    d = standard_series("Delta", n_ord)
+    main = m.derivative() * m.recip().power(2)
+    base = main - monomial_series(-2, 1, main.order)
+    ratio = base * m.hadamard(d).recip().power(k - 1)
+    return ratio.coeff(-1) * Fraction(1, k - 1)
+
+
+def test_lagrange_one_pass_matches_per_entry_formula():
+    oracle = tuple(lagrange_entry(k) for k in range(1, 11))
+    for n in range(1, 11):
+        assert _lagrange_entries(n) == oracle[:n], n
+
+
+def test_lagrange_entries_extend_by_one():
+    for n in range(1, 10):
+        assert _lagrange_entries(n + 1)[:n] == _lagrange_entries(n), n
+
+
+def test_every_route_returns_n_entries():
+    for method, entries in _CUMULANT_ENTRIES.items():
+        for n in range(1, 6):
+            assert len(entries(n)) == n, (method, n)
 
 
 def test_builders_validate_n():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nckit.poly import Polynomial, delta, moment
 from nckit.series import (
@@ -73,6 +73,13 @@ small_fractions = st.one_of(
 )
 small_series = st.builds(
     LaurentSeries, st.integers(-3, 3), st.lists(small_fractions, min_size=1, max_size=6)
+)
+
+
+unit_series = st.builds(
+    lambda lead, tail: LaurentSeries(1, [lead] + tail),
+    st.sampled_from([F(1), F(-1), F(1, 2), F(3)]),
+    st.lists(st.fractions(min_value=F(-4), max_value=F(4), max_denominator=5), min_size=4, max_size=9),
 )
 
 
@@ -184,6 +191,26 @@ def test_power_zero_window():
     assert (f ** -1) == f.recip()
 
 
+def power_by_products(f, k):
+    """f^k as |k| - 1 successive products of f or of its reciprocal."""
+    if k == 0:
+        return constant_series(1, f.order - f.low)
+    g = f if k > 0 else f.recip()
+    result = g
+    for _ in range(abs(k) - 1):
+        result = result * g
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_series, unit_series), st.integers(-3, 12))
+def test_power_matches_repeated_products(f, k):
+    assume(k >= 0 or not f.is_zero)
+    p = f ** k
+    q = power_by_products(f, k)
+    assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+
+
 # -- composition -------------------------------------------------------------
 
 def test_compose_moebius_pair():
@@ -235,13 +262,6 @@ def test_comp_inverse_errors():
     poly_linear = LaurentSeries(1, [Polynomial.from_variable(delta(1)), 1])
     with pytest.raises(NonUnitLeadingCoefficient):
         poly_linear.comp_inverse()
-
-
-unit_series = st.builds(
-    lambda lead, tail: LaurentSeries(1, [lead] + tail),
-    st.sampled_from([F(1), F(-1), F(1, 2), F(3)]),
-    st.lists(st.fractions(min_value=F(-4), max_value=F(4), max_denominator=5), min_size=4, max_size=9),
-)
 
 
 @settings(max_examples=30, deadline=None)

@@ -132,7 +132,7 @@ FLAVOR_FREE = "free"
 FLAVOR_BOOLEAN = "boolean"
 _FLAVORS = (FLAVOR_DELTA, FLAVOR_FREE, FLAVOR_BOOLEAN)
 
-_FLAVOR_VALUES = {FLAVOR_FREE: Fraction(1), FLAVOR_BOOLEAN: Fraction(0)}
+_FLAVOR_VALUES = {FLAVOR_FREE: 1, FLAVOR_BOOLEAN: 0}
 
 
 # -- tables ------------------------------------------------------------------
@@ -343,7 +343,7 @@ def _tree_column(n: int) -> tuple:
     for t in enumerate_prime(n):
         groups.setdefault(eta(t), []).append(weight_tree(t))
     return tuple(
-        (p, Fraction((-1) ** (p.block_count - 1)) * poly_sum(weights))
+        (p, (-1) ** (p.block_count - 1) * poly_sum(weights))
         for p, weights in groups.items()
     )
 

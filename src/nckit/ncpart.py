@@ -14,7 +14,6 @@ Partitions render as blocks joined by '|' with base-36 element digits, e.g.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -251,7 +250,7 @@ def _arc_monomial(p: NoncrossingPartition, host) -> Polynomial:
             m = bisect_left(h, j) - bisect_right(h, i)
             if m:
                 exps[m] = exps.get(m, 0) + 1
-    return Polynomial._raw({tuple((delta(m), e) for m, e in sorted(exps.items())): Fraction(1)})
+    return Polynomial._raw({tuple((delta(m), e) for m, e in sorted(exps.items())): 1})
 
 
 def weight(p: NoncrossingPartition) -> Polynomial:

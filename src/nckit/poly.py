@@ -2,10 +2,11 @@
 
 This is the coefficient ring for the whole package: polynomials in the gap
 weight variables d1, d2, ..., the moment variables M1, M2, ... and the
-cumulant variables C1, C2, ...  Coefficients are `fractions.Fraction`, so
-every operation is exact: scalars must be ints or Fractions, and anything
-else (floats, bools, strings) raises ``TypeError``.  There is no d0 variable:
-a gap of size zero always contributes the constant 1.
+cumulant variables C1, C2, ...  A coefficient is an int when integral, else
+a `fractions.Fraction`, so every operation is exact and integer arithmetic
+stays on ints: scalars must be ints or Fractions, and anything else (floats,
+bools, strings) raises ``TypeError``.  There is no d0 variable: a gap of size
+zero always contributes the constant 1.
 
 Rendering is canonical and parseable: terms in graded-lex descending order
 (variable order d1 < d2 < ... < M1 < M2 < ... < C1 < C2 < ...), each term with
@@ -98,22 +99,24 @@ _RATIONAL_RE = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
 
 
 class Polynomial:
-    """Immutable polynomial: a map from monomials to nonzero rational coefficients."""
+    """Immutable polynomial: a map from monomials to nonzero rational coefficients,
+    each an int when integral, else a Fraction."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                q = as_fraction(coeff)
+                q = _coefficient(coeff)
                 if q:
                     clean[mono] = q
         self._terms = clean
 
     @classmethod
     def _raw(cls, terms: dict) -> "Polynomial":
-        # internal fast path: caller guarantees nonzero Fraction values
+        # internal fast path: caller guarantees nonzero values,
+        # each an int when integral, else a Fraction
         p = object.__new__(cls)
         p._terms = terms
         return p
@@ -128,16 +131,16 @@ class Polynomial:
 
     @classmethod
     def constant(cls, q: Scalar) -> "Polynomial":
-        q = as_fraction(q)
+        q = _coefficient(q)
         return cls._raw({(): q} if q else {})
 
     @classmethod
     def from_variable(cls, var: Variable) -> "Polynomial":
-        return cls._raw({((var, 1),): Fraction(1)})
+        return cls._raw({((var, 1),): 1})
 
     # -- inspection ---------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def items(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self._terms.items())
 
     def __len__(self) -> int:
@@ -155,7 +158,7 @@ class Polynomial:
         if not self._terms:
             return Fraction(0)
         if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
+            return Fraction(self._terms[()])
         return None
 
     def variables(self) -> set[Variable]:
@@ -171,7 +174,7 @@ class Polynomial:
         for mono, coeff in other._terms.items():
             s = out.get(mono, 0) + coeff
             if s:
-                out[mono] = s
+                out[mono] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 out.pop(mono, None)
         return Polynomial._raw(out)
@@ -196,13 +199,13 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not other._terms:
             return Polynomial.zero()
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _mono_mul(m1, m2)
                 s = out.get(mono, 0) + c1 * c2
                 if s:
-                    out[mono] = s
+                    out[mono] = s if type(s) is int or s.denominator != 1 else s.numerator
                 else:
                     out.pop(mono, None)
         return Polynomial._raw(out)
@@ -257,7 +260,7 @@ class Polynomial:
         Returns a map whose keys are monomials free of `family` variables and
         whose values collect the `family`-only cofactors.
         """
-        out: dict[Monomial, dict[Monomial, Fraction]] = {}
+        out: dict[Monomial, dict[Monomial, Scalar]] = {}
         for mono, coeff in self._terms.items():
             kept = tuple((v, e) for v, e in mono if v.family == family)
             rest = tuple((v, e) for v, e in mono if v.family != family)
@@ -293,7 +296,7 @@ class Polynomial:
             return cls.zero()
         parts = re.split(r"\s*([+-])\s*", s)
         # re.split yields [first, sep, term, sep, term, ...]; empty first means leading sign
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         if parts[0] == "":
             if len(parts) < 3:
                 raise ValueError(f"dangling sign in {text!r}")
@@ -324,7 +327,7 @@ class Polynomial:
                     raise ValueError(f"bad exponent in {factor!r}")
                 mono[var] = mono.get(var, 0) + exp
             key = tuple(sorted(mono.items()))
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return cls(terms)
 
     def __repr__(self) -> str:
@@ -336,6 +339,12 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"not an exact rational: {x!r}")
     return Fraction(x)
+
+
+def _coefficient(x) -> Scalar:
+    """A scalar as a Polynomial stores it: an int when integral, else a Fraction."""
+    q = as_fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def as_polynomial(x) -> Polynomial:

@@ -20,6 +20,7 @@ from nckit.cumulants import (
     _lagrange_entries,
     _linear_extension,
     _mu_top_column,
+    _tree_column,
     boolean_cumulants,
     clear_caches,
     cumulants_from_moments,
@@ -349,6 +350,14 @@ def test_numeric_convert_examples():
     assert numeric_convert([], [], DIRECTION_CUMULANTS) == []
 
 
+def test_numeric_convert_returns_fractions():
+    """Integral results stay Fractions, as the README example shows."""
+    for direction in (DIRECTION_MOMENTS, DIRECTION_CUMULANTS):
+        for values in ([1, 1, 1], [Fraction(1, 2), 2, Fraction(3, 4)]):
+            out = numeric_convert(values, [1, 2, Fraction(1, 3)], direction)
+            assert [type(x) for x in out] == [Fraction] * 3, out
+
+
 def test_numeric_convert_errors():
     with pytest.raises(LengthMismatch):
         numeric_convert([1, 2], [1], DIRECTION_CUMULANTS)
@@ -363,6 +372,24 @@ def test_numeric_convert_errors():
     ):
         with pytest.raises(TypeError):
             numeric_convert(values, deltas, DIRECTION_CUMULANTS)
+
+
+# -- integer coefficients ----------------------------------------------------
+
+def test_table_and_column_coefficients_are_ints():
+    """Every coefficient of the tables, the columns and the arc weights is
+    integral, so each must be stored as an int: a Fraction with denominator 1
+    keeps the output right and only slows the arithmetic, and no other test
+    would notice it."""
+    for n in range(1, 8):
+        polys = list(moments_from_cumulants(n).entries)
+        for method in CUMULANT_METHODS:
+            polys.extend(cumulants_from_moments(n, method).entries)
+        for column in (_mu_top_column, _tree_column):
+            polys.extend(value for _, value in column(n))
+        polys.extend(weight(p) for p in enumerate_nc(n))
+        leaked = {type(c) for p in polys for _, c in p.items()} - {int}
+        assert leaked == set(), (n, leaked)
 
 
 # -- specializations ---------------------------------------------------------

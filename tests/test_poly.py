@@ -1,5 +1,6 @@
 """Ring, substitution and rendering checks for the polynomial core."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from nckit.poly import (
     DELTA,
     MOMENT,
     Polynomial,
+    as_fraction,
     cumulant,
     delta,
     moment,
@@ -199,3 +201,119 @@ def test_helper_sums_products():
     assert poly_sum([]) == 0
     assert poly_product([]) == 1
     assert poly_sum([1, M1]) == P("1*M1 + 1")
+
+
+# -- canonical coefficient form ----------------------------------------------
+#
+# A stored coefficient is an int exactly when it is integral, else a Fraction.
+# Each operation is checked against an oracle that keeps every coefficient as
+# a Fraction and shares no code with Polynomial.
+
+def assert_canonical(p):
+    for _, c in p.items():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
+
+
+def oracle(p) -> dict:
+    return {m: Fraction(c) for m, c in p.items()}
+
+
+def oracle_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(sorted((Counter(dict(m1)) + Counter(dict(m2))).items()))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_neg(a: dict) -> dict:
+    return {m: -c for m, c in a.items()}
+
+
+def check(result, expected: dict):
+    assert_canonical(result)
+    assert dict(result.items()) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials, polynomials, rationals, st.integers(0, 3))
+def test_operations_keep_the_canonical_form(p, q, r, e):
+    a, b = oracle(p), oracle(q)
+    for x in (p, q):
+        check(x, oracle(x))
+        check(Polynomial.parse(x.render()), oracle(x))
+    check(Polynomial.constant(r), {(): r} if r else {})
+    check(p + q, oracle_add(a, b))
+    check(p - q, oracle_add(a, oracle_neg(b)))
+    check(-p, oracle_neg(a))
+    check(p * q, oracle_mul(a, b))
+    check(p * r, oracle_mul(a, {(): r} if r else {}))
+    power = {(): Fraction(1)}
+    for _ in range(e):
+        power = oracle_mul(power, a)
+    check(p ** e, power)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials, polynomials, rationals)
+def test_substitute_and_split_keep_the_canonical_form(p, q, r):
+    a = oracle(p)
+    values = {v: {((v, 1),): Fraction(1)} for v in VARS}
+    values.update({D1: {(): r} if r else {}, M1: oracle(q)})
+    expected: dict = {}
+    for mono, c in a.items():
+        term = {(): c}
+        for var, exp in mono:
+            for _ in range(exp):
+                term = oracle_mul(term, values[var])
+        expected = oracle_add(expected, term)
+    check(p.substitute({D1: r, M1: q}), expected)
+    for family in (DELTA, MOMENT, CUMULANT):
+        parts: dict = {}
+        for mono, c in a.items():
+            kept = tuple((v, x) for v, x in mono if v.family == family)
+            rest = tuple((v, x) for v, x in mono if v.family != family)
+            parts.setdefault(rest, {})[kept] = c
+        split = p.split_by_family(family)
+        assert split.keys() == parts.keys()
+        for rest, part in split.items():
+            check(part, parts[rest])
+
+
+def test_integral_values_are_stored_as_ints():
+    check(Polynomial.constant(Fraction(4, 2)), {(): 2})
+    half = Polynomial.constant(Fraction(1, 2))
+    check(half, {(): Fraction(1, 2)})
+    check(half + half, {(): 1})
+    check(half * 2, {(): 1})
+    check(Polynomial.from_variable(M1) * Fraction(1, 3) * 3, {((M1, 1),): 1})
+    check(Polynomial({(): Fraction(-6, 3), ((C1, 1),): Fraction(3, 6)}),
+          {(): -2, ((C1, 1),): Fraction(1, 2)})
+    check(P("4/2*M1 + 1/2*M2 + 1/2*M2"), {((M1, 1),): 2, ((M2, 1),): 1})
+
+
+def test_public_values_are_fractions():
+    """Values handed out stay Fractions, integral ones included."""
+    p = P("3*M1 + 1/2")
+    for value in (
+        Polynomial.zero().as_rational(),
+        Polynomial.constant(3).as_rational(),
+        Polynomial.constant(Fraction(1, 2)).as_rational(),
+        p.evaluate({M1: 1}),
+        p.evaluate({M1: Fraction(1, 2)}),
+        Polynomial.constant(7).evaluate({}),
+        Polynomial.zero().evaluate({}),
+        as_fraction(5),
+        as_fraction(Fraction(5, 1)),
+    ):
+        assert type(value) is Fraction, value
+    assert Polynomial.constant(3).as_rational() == 3
+    assert p.evaluate({M1: 1}) == Fraction(7, 2)

@@ -13,12 +13,11 @@ Partitions render as blocks joined by '|' with base-36 element digits, e.g.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .poly import Polynomial, delta, poly_product
+from .poly import Polynomial, delta, poly_product, variable_key
 
 
 class NotAPartition(Exception):
@@ -240,22 +239,28 @@ def arcs(p: NoncrossingPartition) -> tuple:
     return tuple(out)
 
 
-def _arc_monomial(p: NoncrossingPartition, host) -> Polynomial:
-    """Product over the arcs (i, j) of p of d_m, built as one term, where m
-    counts the members of host(i), a sorted tuple, strictly between i and j."""
-    exps: dict[int, int] = {}
-    for b in p.blocks:
-        h = host(b[0])
-        for i, j in zip(b, b[1:]):
-            m = bisect_left(h, j) - bisect_right(h, i)
-            if m:
-                exps[m] = exps.get(m, 0) + 1
-    return Polynomial._raw({tuple((delta(m), e) for m, e in sorted(exps.items())): 1})
+@lru_cache(maxsize=None)
+def _delta_key(m: int) -> int:
+    return variable_key(delta(m))
+
+
+def _arc_monomial(p: NoncrossingPartition, hosts) -> Polynomial:
+    """Product over the arcs (i, j) of p of d_m, built as one term, where m counts
+    the positions strictly between i and j in hosts[k], a mask per block k of p."""
+    key = 0
+    for mask, host in zip(p._masks, hosts):
+        while mask & (mask - 1):  # an arc from the lowest element left
+            low = mask & -mask
+            mask ^= low
+            between = host & ((mask & -mask) - (low << 1))
+            if between:
+                key += _delta_key(between.bit_count())
+    return Polynomial._raw({key: 1})
 
 
 def weight(p: NoncrossingPartition) -> Polynomial:
     """Product of d_g over arcs, g = number of ground elements inside the arc."""
-    return _arc_monomial(p, lambda x: p.ground)
+    return _arc_monomial(p, repeat((1 << p.size) - 1))
 
 
 def leq(p: NoncrossingPartition, q: NoncrossingPartition) -> bool:
@@ -341,9 +346,8 @@ def iota(p: NoncrossingPartition) -> int:
 
 
 def is_interval(p: NoncrossingPartition) -> bool:
-    """True when every arc joins ground-adjacent elements."""
-    pos = {x: i for i, x in enumerate(p.ground)}
-    return all(pos[j] - pos[i] == 1 for i, j in arcs(p))
+    """True when every block is a run of ground-adjacent elements."""
+    return all(m & (m + (m & -m)) == 0 for m in p._masks)
 
 
 # -- weighted zeta function and its complementary form -----------------------
@@ -367,7 +371,7 @@ def zeta_arc_form(p: NoncrossingPartition, q: NoncrossingPartition) -> Polynomia
     """
     if not leq(p, q):
         return Polynomial.zero()
-    return _arc_monomial(p, q.block_of)
+    return _arc_monomial(p, [q._masks[q._owner[b[0]]] for b in p.blocks])
 
 
 def zeta_c(a: NoncrossingPartition, b: NoncrossingPartition) -> Polynomial:

@@ -8,6 +8,14 @@ stays on ints: scalars must be ints or Fractions, and anything else (floats,
 bools, strings) raises ``TypeError``.  There is no d0 variable: a gap of size
 zero always contributes the constant 1.
 
+A monomial is stored as one int key: a registry, never reset because live keys
+depend on it, gives each variable a slot s when first seen, and the exponent
+sits in bits [32*s, 32*s + 32), so a monomial product is one integer add.
+Exponents are capped at 2**31 - 1: a guard mask holds the top bit of every
+field in use, and a product reaching 2**31 raises ``OverflowError`` instead of
+carrying into the next field.  The public API speaks sorted
+``(Variable, exponent)`` tuples, the empty tuple being the constant monomial.
+
 Rendering is canonical and parseable: terms in graded-lex descending order
 (variable order d1 < d2 < ... < M1 < M2 < ... < C1 < C2 < ...), each term with
 an explicit rational coefficient, e.g. ``1*C1^2 + 1*C2`` or ``-2/3*d1*M2``.
@@ -17,6 +25,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 DELTA = 0
@@ -63,29 +73,48 @@ def _make_var(family: int, index: int) -> Variable:
 Monomial = tuple
 Scalar = Union[int, Fraction]
 
+_WIDTH = 32
+_FIELD = (1 << _WIDTH) - 1
+_MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
+_KEYS: dict[Variable, int] = {}  # variable -> 1 << (32 * its slot)
+_VARS: list[Variable] = []  # slot -> variable
+_GUARD = 0  # the top bit of every field in use
+
+
+def variable_key(var: Variable) -> int:
+    """The packed key of the monomial var^1, giving var a slot if it has none."""
+    global _GUARD
+    key = _KEYS.get(var)
+    if key is None:
+        shift = _WIDTH * len(_VARS)
+        _VARS.append(_make_var(var.family, var.index))
+        key = _KEYS[var] = 1 << shift
+        _GUARD |= key << (_WIDTH - 1)
+    return key
+
+
+def _pack(mono) -> int:
+    key = 0
+    for var, exp in mono:
+        if not isinstance(var, Variable):
+            raise TypeError(f"not a Variable: {var!r}")
+        if type(exp) is not int or not 1 <= exp <= _MAX_EXPONENT:
+            raise ValueError(f"exponent must be an int in 1..{_MAX_EXPONENT}, got {exp!r}")
+        key += exp * variable_key(var)
+        if key & _GUARD:
+            raise ValueError(f"exponent of {var.symbol()} exceeds {_MAX_EXPONENT}")
+    return key
+
+
+def _unpack(key: int) -> Monomial:
     out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
+    while key:
+        shift = ((key & -key).bit_length() - 1) // _WIDTH * _WIDTH
+        exp = key >> shift & _FIELD
+        out.append((_VARS[shift // _WIDTH], exp))
+        key ^= exp << shift
+    out.sort()
     return tuple(out)
 
 
@@ -99,19 +128,19 @@ _RATIONAL_RE = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
 
 
 class Polynomial:
-    """Immutable polynomial: a map from monomials to nonzero rational coefficients,
-    each an int when integral, else a Fraction."""
+    """Immutable polynomial: a map from packed monomial keys to nonzero rational
+    coefficients, each an int when integral, else a Fraction."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Scalar] = {}
+        """From monomials to scalars; repeated variables and equal monomials merge."""
+        sums: dict[int, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                q = _coefficient(coeff)
-                if q:
-                    clean[mono] = q
-        self._terms = clean
+                key = _pack(mono)
+                sums[key] = sums.get(key, 0) + as_fraction(coeff)
+        self._terms = {key: _coefficient(q) for key, q in sums.items() if q}
 
     @classmethod
     def _raw(cls, terms: dict) -> "Polynomial":
@@ -132,16 +161,16 @@ class Polynomial:
     @classmethod
     def constant(cls, q: Scalar) -> "Polynomial":
         q = _coefficient(q)
-        return cls._raw({(): q} if q else {})
+        return cls._raw({0: q} if q else {})
 
     @classmethod
     def from_variable(cls, var: Variable) -> "Polynomial":
-        return cls._raw({((var, 1),): 1})
+        return cls._raw({variable_key(var): 1})
 
     # -- inspection ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, Scalar]]:
-        return iter(self._terms.items())
+        return ((_unpack(key), c) for key, c in self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -157,12 +186,12 @@ class Polynomial:
         """The value of a constant polynomial, or None if any variable occurs."""
         if not self._terms:
             return Fraction(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return Fraction(self._terms[()])
+        if len(self._terms) == 1 and 0 in self._terms:
+            return Fraction(self._terms[0])
         return None
 
     def variables(self) -> set[Variable]:
-        return {v for m in self._terms for v, _ in m}
+        return {v for v, _ in _unpack(reduce(or_, self._terms, 0))}
 
     # -- ring operations ----------------------------------------------------
 
@@ -199,10 +228,13 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not other._terms:
             return Polynomial.zero()
-        out: dict[Monomial, Scalar] = {}
+        out: dict[int, Scalar] = {}
+        guard = _GUARD
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
+                mono = m1 + m2
+                if mono & guard:
+                    raise OverflowError(f"an exponent of the product exceeds {_MAX_EXPONENT}")
                 s = out.get(mono, 0) + c1 * c2
                 if s:
                     out[mono] = s if type(s) is int or s.denominator != 1 else s.numerator
@@ -238,14 +270,14 @@ class Polynomial:
             values[v] = p
         return poly_sum(
             coeff * poly_product(values[var] ** exp for var, exp in mono)
-            for mono, coeff in self._terms.items()
+            for mono, coeff in self.items()
         )
 
     def evaluate(self, assignment: Mapping[Variable, Scalar]) -> Fraction:
         """Fully evaluate; every variable that occurs must be assigned an int or a Fraction."""
         values = {v: as_fraction(x) for v, x in assignment.items()}
         total = Fraction(0)
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self.items():
             prod = coeff
             for var, exp in mono:
                 if var not in values:
@@ -260,22 +292,21 @@ class Polynomial:
         Returns a map whose keys are monomials free of `family` variables and
         whose values collect the `family`-only cofactors.
         """
-        out: dict[Monomial, dict[Monomial, Scalar]] = {}
-        for mono, coeff in self._terms.items():
-            kept = tuple((v, e) for v, e in mono if v.family == family)
-            rest = tuple((v, e) for v, e in mono if v.family != family)
-            out.setdefault(rest, {})[kept] = coeff
-        return {rest: Polynomial._raw(part) for rest, part in out.items()}
+        fields = sum(_FIELD * key for v, key in _KEYS.items() if v.family == family)
+        out: dict[int, dict[int, Scalar]] = {}
+        for key, coeff in self._terms.items():
+            kept = key & fields
+            out.setdefault(key ^ kept, {})[kept] = coeff
+        return {_unpack(rest): Polynomial._raw(part) for rest, part in out.items()}
 
     # -- canonical text form -------------------------------------------------
 
     def render(self) -> str:
         if not self._terms:
             return "0"
-        monos = sorted(self._terms, key=_mono_key, reverse=True)
+        terms = sorted(self.items(), key=lambda t: _mono_key(t[0]), reverse=True)
         pieces = []
-        for k, mono in enumerate(monos):
-            coeff = self._terms[mono]
+        for k, (mono, coeff) in enumerate(terms):
             body = "*".join(
                 [str(abs(coeff))]
                 + [f"{v.symbol()}^{e}" if e > 1 else v.symbol() for v, e in mono]
@@ -296,7 +327,7 @@ class Polynomial:
             return cls.zero()
         parts = re.split(r"\s*([+-])\s*", s)
         # re.split yields [first, sep, term, sep, term, ...]; empty first means leading sign
-        terms: dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, Fraction] = {}
         if parts[0] == "":
             if len(parts) < 3:
                 raise ValueError(f"dangling sign in {text!r}")
@@ -316,22 +347,22 @@ class Polynomial:
             if not _RATIONAL_RE.match(factors[0]):
                 raise ValueError(f"term {chunk!r} must start with a rational coefficient")
             coeff = Fraction(factors[0]) * sign
-            mono: dict[Variable, int] = {}
+            mono = []
             for factor in factors[1:]:
                 m = _FACTOR_RE.match(factor)
                 if not m:
                     raise ValueError(f"bad variable factor {factor!r}")
                 var = _make_var(_SYMBOL_FAMILY[m.group(1)], int(m.group(2)))
-                exp = int(m.group(3)) if m.group(3) else 1
-                if exp < 1:
-                    raise ValueError(f"bad exponent in {factor!r}")
-                mono[var] = mono.get(var, 0) + exp
-            key = tuple(sorted(mono.items()))
+                mono.append((var, int(m.group(3)) if m.group(3) else 1))
+            key = tuple(mono)
             terms[key] = terms.get(key, 0) + coeff
         return cls(terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
+
+    def __reduce__(self):  # pickle tuples: keys depend on this process's slots
+        return Polynomial, (dict(self.items()),)
 
 
 def as_fraction(x) -> Fraction:

@@ -1,7 +1,8 @@
 """End-to-end exercises of the command-line surface.
 
 Each test drives ``nckit.cli.main`` in-process and asserts on exact bytes and
-exit codes; one subprocess smoke test covers the ``python -m nckit`` path.
+exit codes; one subprocess smoke test covers the ``python -m nckit`` path, and
+one compares the output of two fresh processes.
 """
 
 import inspect
@@ -560,6 +561,37 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     assert proc.stdout == "1,0,0\n"
     assert proc.stderr == ""
+
+
+def test_output_does_not_depend_on_variable_slot_order():
+    # one process gives C40..C1, d40..d1 and M40..M1 their packed-key slots,
+    # in that order, before any table is built; the other starts fresh
+    script = (
+        "import sys\n"
+        "from nckit.cli import main\n"
+        "from nckit.poly import Polynomial, cumulant, delta, moment\n"
+        "if sys.argv[1] == 'reversed':\n"
+        "    for family in (cumulant, delta, moment):\n"
+        "        for i in range(40, 0, -1):\n"
+        "            Polynomial.from_variable(family(i))\n"
+        "for argv in (\n"
+        "    'table delta --direction cumulants --n 6 --method all',\n"
+        "    'table delta --direction moments --n 7',\n"
+        "):\n"
+        "    assert main(argv.split()) == 0\n"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script, order],
+            cwd=Path(cli.__file__).resolve().parents[1],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for order in ("fresh", "reversed")
+    ]
+    assert outputs[0] == outputs[1]
+    assert "C6 = " in outputs[0] and "M7 = " in outputs[0]
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")

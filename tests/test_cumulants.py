@@ -539,9 +539,14 @@ def test_cover_identity():
 
 def test_cache_clearing_is_consistent():
     before = cumulants_from_moments(4)
+    kept = before.entry(4)
+    text = kept.render()
     clear_caches()
     after = cumulants_from_moments(4)
     assert before == after
+    # packed monomial keys stay valid: clearing never resets variable slots
+    assert kept == after.entry(4)
+    assert kept.render() == text
 
 
 def test_clear_caches_empties_every_package_cache():

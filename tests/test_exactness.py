@@ -4,6 +4,9 @@ Every module of ``nckit`` is parsed with ``ast`` and fails on a float or
 complex literal, the name ``float``, an import of ``math``, ``decimal`` or
 ``statistics``, or a true division whose left operand is not a
 ``Fraction(...)`` call (so the quotient is a Fraction, never a float).
+
+A second lint keeps the packed monomial layout private: the attribute
+``_terms`` of a ``Polynomial`` may be read only inside ``poly.py``.
 """
 
 import ast
@@ -74,3 +77,30 @@ def test_lint_catches_each_pattern():
         "6: true division",
         "7: true division",
     ]
+
+
+def private_term_reads(source: str) -> list[str]:
+    """One "line: _terms" string per use of the attribute ``_terms``."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    )
+    return [f"{line}: _terms" for line in lines]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "poly.py"], ids=lambda p: p.name
+)
+def test_packed_terms_stay_inside_poly(path):
+    assert private_term_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_term_lint_catches_each_use():
+    bad = (
+        "n = len(p._terms)\n"
+        "p._terms = {}\n"
+        "ok = p.items()\n"
+        "q = getattr(p, 'terms')\n"
+    )
+    assert private_term_reads(bad) == ["1: _terms", "2: _terms"]

@@ -109,6 +109,15 @@ def test_enumerate_interval_counts():
         assert is_interval(p)
 
 
+def test_is_interval_exactly_on_interval_partitions():
+    for n in range(9):
+        intervals = set(enumerate_interval(n))
+        for p in enumerate_nc(n):
+            assert is_interval(p) == (p in intervals)
+    assert is_interval(NC("12|34"))
+    assert not is_interval(NC("13|2"))
+
+
 # -- arcs and weights --------------------------------------------------------
 
 def test_arcs_example():

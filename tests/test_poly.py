@@ -1,11 +1,16 @@
 """Ring, substitution and rendering checks for the polynomial core."""
 
+import pickle
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nckit
 from nckit.poly import (
     CUMULANT,
     DELTA,
@@ -44,6 +49,16 @@ polynomials = st.dictionaries(monomials, rationals, max_size=4).map(Polynomial)
 
 assignments = st.fixed_dictionaries({v: rationals for v in VARS})
 
+# all three families up to index 40, so packed keys span many slots; drawn as
+# plain dicts so the oracle starts from the input, not from Polynomial.items()
+WIDE_VARS = [f(i) for f in (delta, moment, cumulant) for i in range(1, 41)]
+
+wide_monomials = st.dictionaries(
+    st.sampled_from(WIDE_VARS), st.integers(1, 5), max_size=4
+).map(lambda d: tuple(sorted(d.items())))
+
+wide_terms = st.dictionaries(wide_monomials, rationals, max_size=4)
+
 
 # -- construction and equality ----------------------------------------------
 
@@ -72,6 +87,50 @@ def test_cancellation_normalizes():
 def test_variable_ordering_is_family_major():
     assert delta(2) < moment(1) < moment(2) < cumulant(1)
     assert delta(1) < delta(2)
+
+
+def test_constructor_validates_each_monomial():
+    for bad in ((("x", 1),), ((1, 1),), ((M1, 1), ("M1", 2))):
+        with pytest.raises(TypeError):
+            Polynomial({bad: 1})
+    for exp in (0, -1, 2**31, True, Fraction(1), "1", None):
+        with pytest.raises(ValueError):
+            Polynomial({((M1, exp),): 1})
+    with pytest.raises(ValueError):
+        Polynomial({((M1, 2**30), (M1, 2**30)): 1})
+    assert Polynomial({((M1, 1), (C1, 2), (M1, 2)): 3}) == P("3*M1^3*C1^2")
+    assert Polynomial({((M2, 1), (M1, 1)): 2, ((M1, 1), (M2, 1)): -2}).is_zero
+
+
+def test_exponent_cap():
+    top = P("1*M1^2147483647")
+    assert top.render() == "1*M1^2147483647"
+    assert dict(top.items()) == {((M1, 2**31 - 1),): 1}
+    assert top * Polynomial.from_variable(M2) == P("1*M1^2147483647*M2")
+    for bad in ("1*M1^2147483648", "1*M1^2147483647*M1", "1*M1^0"):
+        with pytest.raises(ValueError):
+            P(bad)
+    with pytest.raises(OverflowError):
+        top * Polynomial.from_variable(M1)
+    with pytest.raises(OverflowError):
+        P("1*M1^1073741824") ** 2
+
+
+def test_pickle_does_not_depend_on_slot_order():
+    # the child gives other variables the first slots before pickling
+    code = (
+        "import pickle, sys\n"
+        "from nckit.poly import Polynomial, cumulant\n"
+        "for i in range(9, 0, -1):\n"
+        "    Polynomial.from_variable(cumulant(i))\n"
+        "sys.stdout.write(pickle.dumps(Polynomial.parse('2*d1*M3^2 - 1/2*C7')).hex())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(nckit.__file__).resolve().parents[1],
+        capture_output=True, text=True, check=True,
+    )
+    assert pickle.loads(bytes.fromhex(proc.stdout)) == P("2*d1*M3^2 - 1/2*C7")
 
 
 def test_variable_index_validation():
@@ -238,6 +297,24 @@ def oracle_neg(a: dict) -> dict:
     return {m: -c for m, c in a.items()}
 
 
+def oracle_split(a: dict, family: int) -> dict:
+    parts: dict = {}
+    for mono, c in a.items():
+        kept = tuple((v, x) for v, x in mono if v.family == family)
+        rest = tuple((v, x) for v, x in mono if v.family != family)
+        parts.setdefault(rest, {})[kept] = c
+    return parts
+
+
+def check_split(p, a: dict):
+    for family in (DELTA, MOMENT, CUMULANT):
+        parts = oracle_split(a, family)
+        split = p.split_by_family(family)
+        assert split.keys() == parts.keys()
+        for rest, part in split.items():
+            check(part, parts[rest])
+
+
 def check(result, expected: dict):
     assert_canonical(result)
     assert dict(result.items()) == expected
@@ -276,16 +353,24 @@ def test_substitute_and_split_keep_the_canonical_form(p, q, r):
                 term = oracle_mul(term, values[var])
         expected = oracle_add(expected, term)
     check(p.substitute({D1: r, M1: q}), expected)
-    for family in (DELTA, MOMENT, CUMULANT):
-        parts: dict = {}
-        for mono, c in a.items():
-            kept = tuple((v, x) for v, x in mono if v.family == family)
-            rest = tuple((v, x) for v, x in mono if v.family != family)
-            parts.setdefault(rest, {})[kept] = c
-        split = p.split_by_family(family)
-        assert split.keys() == parts.keys()
-        for rest, part in split.items():
-            check(part, parts[rest])
+    check_split(p, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_terms, wide_terms, st.integers(0, 3))
+def test_wide_monomials_match_the_oracle(s, t, e):
+    a = {m: Fraction(c) for m, c in s.items() if c}
+    b = {m: Fraction(c) for m, c in t.items() if c}
+    p, q = Polynomial(s), Polynomial(t)
+    check(p, a)
+    check(Polynomial.parse(p.render()), a)
+    check(p + q, oracle_add(a, b))
+    check(p * q, oracle_mul(a, b))
+    power = {(): Fraction(1)}
+    for _ in range(e):
+        power = oracle_mul(power, a)
+    check(p ** e, power)
+    check_split(p * q, oracle_mul(a, b))
 
 
 def test_integral_values_are_stored_as_ints():

@@ -53,7 +53,6 @@ from .ncpart import (
     zeta_c,
 )
 from .poly import (
-    DELTA,
     Polynomial,
     as_fraction,
     cumulant,
@@ -415,13 +414,8 @@ def specialize_table(table: TransformTable, flavor: str) -> TransformTable:
         return table
     if flavor not in _FLAVOR_VALUES:
         raise ValueError(f"unknown flavor {flavor!r}")
-    value = _FLAVOR_VALUES[flavor]
-    entries = []
-    for entry in table.entries:
-        assignment = {
-            v: value for v in entry.variables() if v.family == DELTA
-        }
-        entries.append(entry.substitute(assignment))
+    assignment = {delta(k): _FLAVOR_VALUES[flavor] for k in range(1, table.n + 1)}
+    entries = [entry.substitute(assignment) for entry in table.entries]
     return TransformTable(table.n, table.direction, table.method, entries, flavor)
 
 

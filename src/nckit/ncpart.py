@@ -146,7 +146,10 @@ class NoncrossingPartition:
         for chunk in s.split("|"):
             if not chunk:
                 raise NotAPartition(f"empty block in {text!r}")
-            blocks.append([int(ch, 36) for ch in chunk])
+            block = [_DIGITS.find(ch.upper()) for ch in chunk]
+            if min(block) < 1:
+                raise NotAPartition(f"block {chunk!r} is not made of digits 1-9, A-Z")
+            blocks.append(block)
         return cls(blocks)
 
 
@@ -162,40 +165,32 @@ def coarsest(n: int) -> NoncrossingPartition:
 
 # -- enumeration -------------------------------------------------------------
 
-def _nc_blocks(elems: tuple) -> Iterator[tuple]:
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    for r in range(len(rest) + 1):
-        for chosen in combinations(rest, r):
-            block = (first,) + chosen
-            # the chosen members cut the remainder into independent segments
-            segments = []
-            bounds = list(chosen) + [None]
-            prev = first
-            for b in bounds:
-                seg = tuple(x for x in rest if x not in block and prev < x and (b is None or x < b))
-                segments.append(seg)
-                prev = b if b is not None else prev
-            partial: list[tuple] = [()]
-            for seg in segments:
-                partial = [p + q for p in partial for q in _nc_blocks(seg)]
-            for tail in partial:
-                yield (block,) + tail
+def _canonical(n: int, block_tuples: Iterable[tuple]) -> tuple:
+    # each block tuple lists its blocks by first element, as p.blocks does,
+    # so sorting the block tuples gives the canonical order of the partitions
+    ground = range(1, n + 1)
+    return tuple(NoncrossingPartition._trusted(b, ground) for b in sorted(block_tuples))
 
 
 @lru_cache(maxsize=None)
 def enumerate_nc(n: int) -> tuple:
-    """All noncrossing partitions of 1..n, canonically sorted (Catalan many)."""
+    """All noncrossing partitions of 1..n, canonically sorted (Catalan many).
+
+    Split at the first element: the block of lo is {lo} alone, or {lo} joined
+    to the block of its next member j, with lo+1..j-1 partitioned on its own.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    ground = tuple(range(1, n + 1))
-    parts = [
-        NoncrossingPartition._trusted(blocks, ground) for blocks in _nc_blocks(ground)
-    ]
-    parts.sort(key=lambda p: p.blocks)
-    return tuple(parts)
+    parts = {}  # (lo, hi) -> the partitions of lo..hi as block tuples
+    for lo in range(n + 1, 0, -1):
+        parts[lo, lo - 1] = [()]
+        for hi in range(lo, n + 1):
+            out = [((lo,),) + rest for rest in parts[lo + 1, hi]]
+            for j in range(lo + 1, hi + 1):
+                for inner in parts[lo + 1, j - 1]:
+                    out += [((lo,) + q[0],) + inner + q[1:] for q in parts[j, hi]]
+            parts[lo, hi] = out
+    return _canonical(n, parts[1, n])
 
 
 def enumerate_set_partitions(n: int) -> Iterator[list]:
@@ -211,22 +206,16 @@ def enumerate_set_partitions(n: int) -> Iterator[list]:
 
 @lru_cache(maxsize=None)
 def enumerate_interval(n: int) -> tuple:
-    """All interval partitions of 1..n, canonically sorted (2^(n-1) many)."""
-    out = []
-    for cuts in range(1 << max(n - 1, 0)):
-        blocks = []
-        cur = [1] if n else []
-        for i in range(2, n + 1):
-            if cuts >> (i - 2) & 1:
-                blocks.append(tuple(cur))
-                cur = [i]
-            else:
-                cur.append(i)
-        if cur:
-            blocks.append(tuple(cur))
-        out.append(NoncrossingPartition._trusted(blocks, range(1, n + 1)))
-    out.sort(key=lambda p: p.blocks)
-    return tuple(out)
+    """All interval partitions of 1..n, canonically sorted (2^(n-1) many): a run
+    1..k followed by an interval partition of k+1..n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    runs = {n + 1: [()]}  # lo -> the interval partitions of lo..n as block tuples
+    for lo in range(n, 0, -1):
+        runs[lo] = [
+            (tuple(range(lo, k + 1)),) + rest for k in range(lo, n + 1) for rest in runs[k + 1]
+        ]
+    return _canonical(n, runs[1])
 
 
 # -- arcs, weights, order ----------------------------------------------------

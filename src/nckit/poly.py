@@ -124,7 +124,7 @@ def _mono_key(m: Monomial) -> tuple:
 
 
 _FACTOR_RE = re.compile(r"^([dMC])([0-9]+)(?:\^([0-9]+))?$")
-_RATIONAL_RE = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"^[0-9]+(?:/0*[1-9][0-9]*)?$")
 
 
 class Polynomial:
@@ -247,7 +247,7 @@ class Polynomial:
     def __pow__(self, exp: int) -> "Polynomial":
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("polynomial powers must have nonnegative integer exponent")
-        return poly_product([self] * exp)
+        return power_by_squaring(self, exp) if exp else Polynomial.one()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -325,28 +325,14 @@ class Polynomial:
             raise ValueError("empty polynomial text")
         if s == "0":
             return cls.zero()
-        parts = re.split(r"\s*([+-])\s*", s)
-        # re.split yields [first, sep, term, sep, term, ...]; empty first means leading sign
+        # with a leading sign, re.split yields ["", sign, term, sign, term, ...]
+        parts = re.split(r"\s*([+-])\s*", s if s[0] in "+-" else "+" + s)
         terms: dict[Monomial, Fraction] = {}
-        if parts[0] == "":
-            if len(parts) < 3:
-                raise ValueError(f"dangling sign in {text!r}")
-            parts = parts[1:]
-            sign = -1 if parts[0] == "-" else 1
-            chunks = [(sign, parts[1])] + [
-                (-1 if parts[i] == "-" else 1, parts[i + 1])
-                for i in range(2, len(parts) - 1, 2)
-            ]
-        else:
-            chunks = [(1, parts[0])] + [
-                (-1 if parts[i] == "-" else 1, parts[i + 1])
-                for i in range(1, len(parts) - 1, 2)
-            ]
-        for sign, chunk in chunks:
+        for sign, chunk in zip(parts[1::2], parts[2::2]):
             factors = chunk.split("*")
             if not _RATIONAL_RE.match(factors[0]):
                 raise ValueError(f"term {chunk!r} must start with a rational coefficient")
-            coeff = Fraction(factors[0]) * sign
+            coeff = Fraction(factors[0]) * (-1 if sign == "-" else 1)
             mono = []
             for factor in factors[1:]:
                 m = _FACTOR_RE.match(factor)
@@ -394,6 +380,19 @@ def poly_product(factors: Iterable) -> Polynomial:
     for f in factors:
         result = result * as_polynomial(f)
     return result
+
+
+def power_by_squaring(base, exp: int):
+    """base ** exp for an int exp >= 1 by binary squaring: about 2*log2(exp)
+    products, none of them a higher power than the result."""
+    result, square = None, base
+    while True:
+        if exp & 1:
+            result = square if result is None else result * square
+        exp >>= 1
+        if not exp:
+            return result
+        square = square * square
 
 
 def poly_sum(terms: Iterable) -> Polynomial:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, as_polynomial, cumulant, delta, moment, poly_sum
+from .poly import Polynomial, as_polynomial, cumulant, delta, moment, poly_sum, power_by_squaring
 
 
 class OutOfTruncationRange(Exception):
@@ -193,14 +193,7 @@ class LaurentSeries:
             return constant_series(1, self.order - self.low)
         if k < 0:
             return self.recip().power(-k)
-        result, square = None, self
-        while True:
-            if k & 1:
-                result = square if result is None else result * square
-            k >>= 1
-            if not k:
-                return result
-            square = square * square
+        return power_by_squaring(self, k)
 
     __pow__ = power
 

@@ -14,8 +14,8 @@ Leaf counts follow the little Schroder numbers, prime counts the large ones.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from itertools import product
+from typing import Iterable, Sequence
 
 from .ncpart import NoncrossingPartition, enumerate_nc
 from .poly import Polynomial, delta, poly_product
@@ -68,33 +68,25 @@ def tree_from_json(obj) -> Tree:
 
 # -- enumeration -------------------------------------------------------------
 
-def _compositions(total: int, parts: int) -> Iterator[tuple]:
-    # ordered positive compositions of `total` into `parts` parts
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts:
-            out.append(c - prev)
-            prev = c
-        out.append(total - prev)
-        yield tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _trees_with_leaves(m: int) -> tuple:
+    # the children of a vertex: a first child, then either one more child or the
+    # children of a vertex with at least two; each size of first child makes one
+    # sorted run, so the sort only merges m - 1 runs
     if m == 1:
         return (LEAF,)
     out = []
-    for d in range(2, m + 1):
-        for sizes in _compositions(m, d):
-            for kids in product(*(_trees_with_leaves(s) for s in sizes)):
-                out.append(tuple(kids))
+    for k in range(1, m):
+        rest = _trees_with_leaves(m - k)
+        tails = sorted([(t,) for t in rest] + [t for t in rest if t])
+        out += [(first,) + tail for first in _trees_with_leaves(k) for tail in tails]
     out.sort()
     return tuple(out)
 
 
 def enumerate_schroder(n: int) -> tuple:
-    """All no-unary-vertex plane trees with n+1 leaves, in canonical order."""
+    """All no-unary-vertex plane trees with n+1 leaves, in canonical order,
+    built by splitting off each vertex's first child."""
     if n < 1:
         raise ValueError("need n >= 1")
     return _trees_with_leaves(n + 1)

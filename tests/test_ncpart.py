@@ -64,10 +64,9 @@ def test_parse_render_round_trip():
     for text in ["146|23|5", "1", "12|3|49A|58|6|7", "78AB|9"]:
         assert NC(text).render() == text
     assert NC("146|23|5").blocks == ((1, 4, 6), (2, 3), (5,))
-    with pytest.raises(NotAPartition):
-        NC("13|24")
-    with pytest.raises(NotAPartition):
-        NC("1||2")
+    for bad in ["13|24", "1||2", "1!2", "12|3 4", "0", "10|2"]:
+        with pytest.raises(NotAPartition):
+            NC(bad)
 
 
 def test_finest_coarsest():
@@ -85,7 +84,7 @@ def test_enumerate_nc_counts():
 
 
 def test_enumerate_nc_matches_brute_force():
-    for n in range(7):
+    for n in range(9):
         brute = {
             blocks_key(p) for p in enumerate_set_partitions(n) if is_noncrossing(p)
         }

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,18 @@ def test_pow_small_cases():
         p ** -1
 
 
+def test_pow_squares(monkeypatch):
+    p = Polynomial.from_variable(M1) + 1
+    mul = Polynomial.__mul__
+    calls = []
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for exp in (1, 13, 64):
+        expected = Polynomial({((M1, k),) if k else (): comb(exp, k) for k in range(exp + 1)})
+        calls.clear()
+        assert p ** exp == expected
+    assert len(calls) <= 12  # 64 products when multiplying one factor at a time
+
+
 # -- substitution ------------------------------------------------------------
 
 def test_substitute_polynomial_value():
@@ -220,7 +233,7 @@ def test_grlex_tie_break_uses_largest_variable():
 
 
 def test_parse_rejects_junk():
-    for bad in ["", "M1 +", "1*e3", "1*M0", "x", "1**M1", "- "]:
+    for bad in ["", "M1 +", "1*e3", "1*M0", "x", "1**M1", "- ", "1/0*M1"]:
         with pytest.raises(ValueError):
             Polynomial.parse(bad)
 

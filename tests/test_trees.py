@@ -104,7 +104,7 @@ def test_binary_counts():
 
 
 def test_enumeration_is_canonical_and_well_formed():
-    for n in range(1, 6):
+    for n in range(1, len(LITTLE_SCHRODER) + 1):
         trees = enumerate_schroder(n)
         assert list(trees) == sorted(trees)
         assert len(set(trees)) == len(trees)

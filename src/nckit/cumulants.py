@@ -11,10 +11,13 @@ table read by ``cumulants_from_moments``:
 * ``mobius``   -- back-substitution for the top column (the entries against
   the full partition) of the inverse of the weighted incidence matrix on the
   noncrossing partition lattice, walking only the coarsenings of each
-  partition (its up-set, built from block merges); the default route;
+  partition (its up-set, built from block merges); each zeta entry is one
+  monomial with coefficient 1, so each step is a run of monomial shifts into
+  one accumulator; the default route;
 * ``trees``    -- a signed sum over prime plane trees, each contributing the
   moment product of its partition times its weight; the trees of size n are
-  summed once into one column of (partition, signed weight) pairs;
+  summed once into one column of (partition, signed weight) pairs, by one
+  memoised walk over the subtrees they share;
 * ``lagrange`` -- residue extraction from a Laurent-series identity that
   involves a Hadamard product, in one pass with a running power of
   1/(M⊙Δ).
@@ -23,6 +26,10 @@ All three must produce identical polynomials; the test suite enforces this.
 Setting every weight variable to 1 specializes to free cumulants, setting
 them all to 0 to boolean cumulants.  Numeric conversion accepts only exact
 scalars (ints and Fractions) and raises ``TypeError`` on anything else.
+
+The mobius and trees routes share only ``poly.shift_sum`` (each column value
+is shifted by its partition's moment product), no lattice or tree code, so
+their agreement is a real cross-check.
 
 The second half of the module is verification apparatus for the top column:
 its entries ``mu_column_via_trees``, read from the same tree column, their
@@ -38,10 +45,11 @@ import csv
 import io
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .ncpart import (
     NoncrossingPartition,
+    _zeta_keys,
     coarsest,
     enumerate_nc,
     iota,
@@ -49,7 +57,6 @@ from .ncpart import (
     leq,
     restrict,
     zeta,
-    zeta_arc_form,
     zeta_c,
 )
 from .poly import (
@@ -60,6 +67,8 @@ from .poly import (
     moment,
     poly_product,
     poly_sum,
+    shift_sum,
+    variable_key,
 )
 from .series import monomial_series, standard_series
 from .trees import (
@@ -67,11 +76,9 @@ from .trees import (
     cover_counts,
     enumerate_arrangements,
     enumerate_prime,
-    eta,
     n_leaves,
     partition_of,
     weight_arrangement,
-    weight_tree,
 )
 
 __all__ = [
@@ -320,15 +327,16 @@ def _mu_top_column(n: int) -> tuple:
     """Pairs (partition, inverse-matrix entry against the full partition).
 
     Back-substitution over the coarsenings of each partition; it never
-    divides, because the diagonal entries are 1.
+    divides, because the diagonal entries are 1.  Each zeta entry is one
+    monomial with coefficient 1, so each sum is monomial shifts into one
+    accumulator; the pairs are comparable by construction, so ``leq`` is skipped.
     """
     parts, up = _linear_extension(n), _coarsenings(n)
     values = [Polynomial.one()] * len(parts)
     for i in range(len(parts) - 2, -1, -1):
-        values[i] = -poly_sum(
-            zeta_arc_form(parts[i], parts[j]) * values[j]
-            for j in _bits(up[i] ^ (1 << i))
-        )
+        above = list(_bits(up[i] ^ (1 << i)))
+        keys = _zeta_keys(parts[i], [parts[j] for j in above])
+        values[i] = -shift_sum(zip(keys, [values[j] for j in above]))
     return tuple(zip(parts, values))
 
 
@@ -336,21 +344,55 @@ def _mu_top_column(n: int) -> tuple:
 def _tree_column(n: int) -> tuple:
     """Pairs (partition, signed weight of the prime trees mapping to it).
 
-    One pass over the prime trees of size n; the sign is (-1)^(blocks - 1).
+    One memoised walk: the prime trees of size n share subtree objects, so
+    each distinct subtree is summarised once, by identity.  A tree's blocks
+    are the partition ``eta`` reads off it and its key off the leftmost branch
+    is the weight ``weight_tree`` reads; one partition is built per block
+    tuple, with sign (-1)^(blocks - 1).
     """
-    groups: dict[NoncrossingPartition, list] = {}
+    d_keys = [0] + [variable_key(delta(k)) for k in range(1, n + 1)]
+    memo: dict[int, tuple] = {}  # the enumerated trees keep every id alive
+
+    def summary(node):
+        # (leaves, blocks, d key of every vertex, d key off the leftmost branch)
+        if not node:
+            return 1, (), 0, 0
+        kids = []
+        for c in node:
+            found = memo.get(id(c))
+            if found is None:
+                found = memo[id(c)] = summary(c)
+            kids.append(found)
+        cuts = list(accumulate(k[0] for k in kids))
+        # the vertex's own block sorts after its first child's blocks and
+        # before the others, whose elements all exceed that child's leaves
+        blocks = [*kids[0][1], tuple(cuts[:-1])]
+        for (_, inner, _, _), offset in zip(kids[1:], cuts):
+            blocks += [tuple(x + offset for x in b) for b in inner]
+        rest = sum(k[2] for k in kids[1:])
+        every = d_keys[len(node) - 1] + kids[0][2] + rest
+        return cuts[-1], tuple(blocks), every, kids[0][3] + rest
+
+    groups: dict[tuple, list] = {}
     for t in enumerate_prime(n):
-        groups.setdefault(eta(t), []).append(weight_tree(t))
-    return tuple(
-        (p, (-1) ** (p.block_count - 1) * poly_sum(weights))
-        for p, weights in groups.items()
-    )
+        _, blocks, _, key = summary(t)
+        groups.setdefault(blocks, []).append(key)
+    column = []
+    for blocks, keys in groups.items():
+        sign = Polynomial.constant((-1) ** (len(blocks) - 1))
+        p = NoncrossingPartition._trusted(blocks, range(1, n + 1))
+        column.append((p, shift_sum((key, sign) for key in keys)))
+    return tuple(column)
 
 
 @lru_cache(maxsize=None)
 def _column_entry(column, k: int) -> Polynomial:
-    """Entry k of a column route: the column of size k against moment products."""
-    return poly_sum(val * product_moment(p) for p, val in column(k))
+    """Entry k of a column route: the column of size k against moment
+    products, each value shifted by the key of its partition's product."""
+    return shift_sum(
+        (sum(variable_key(moment(len(b))) for b in p.blocks), val)
+        for p, val in column(k)
+    )
 
 
 def _column_entries(column):

@@ -14,7 +14,7 @@ Partitions render as blocks joined by '|' with base-36 element digits, e.g.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .poly import Polynomial, delta, poly_product, variable_key
@@ -233,23 +233,24 @@ def _delta_key(m: int) -> int:
     return variable_key(delta(m))
 
 
-def _arc_monomial(p: NoncrossingPartition, hosts) -> Polynomial:
-    """Product over the arcs (i, j) of p of d_m, built as one term, where m counts
-    the positions strictly between i and j in hosts[k], a mask per block k of p."""
-    key = 0
-    for mask, host in zip(p._masks, hosts):
+def _arc_spans(p: NoncrossingPartition) -> list:
+    """Per arc (i, j) of p with ground positions strictly between i and j:
+    the first element of its block and the mask of those positions."""
+    spans = []
+    for block, mask in zip(p.blocks, p._masks):
         while mask & (mask - 1):  # an arc from the lowest element left
             low = mask & -mask
             mask ^= low
-            between = host & ((mask & -mask) - (low << 1))
-            if between:
-                key += _delta_key(between.bit_count())
-    return Polynomial._raw({key: 1})
+            inside = (mask & -mask) - (low << 1)
+            if inside:
+                spans.append((block[0], inside))
+    return spans
 
 
 def weight(p: NoncrossingPartition) -> Polynomial:
     """Product of d_g over arcs, g = number of ground elements inside the arc."""
-    return _arc_monomial(p, repeat((1 << p.size) - 1))
+    key = sum(_delta_key(inside.bit_count()) for _, inside in _arc_spans(p))
+    return Polynomial._raw({key: 1})
 
 
 def leq(p: NoncrossingPartition, q: NoncrossingPartition) -> bool:
@@ -355,12 +356,27 @@ def zeta_arc_form(p: NoncrossingPartition, q: NoncrossingPartition) -> Polynomia
     """Arc form: product over arcs (i, j) of p of d_m, where m counts the
     members of the q-block of i lying strictly between i and j.
 
-    Must agree with zeta(); kept separate so tests can compare the two and hot
-    paths can use the cheaper product.
+    Must agree with zeta(); kept separate so tests can compare the two.  The
+    mobius route reads the same product as packed keys through ``_zeta_keys``.
     """
     if not leq(p, q):
         return Polynomial.zero()
-    return _arc_monomial(p, [q._masks[q._owner[b[0]]] for b in p.blocks])
+    (key,) = _zeta_keys(p, [q])
+    return Polynomial._raw({key: 1})
+
+
+def _zeta_keys(p: NoncrossingPartition, coarser) -> Iterator[int]:
+    """The packed key of zeta_arc_form(p, q) for each q of ``coarser``, which
+    the caller knows lie above p, so it skips ``leq``; p's arcs are read once."""
+    spans = _arc_spans(p)
+    for q in coarser:
+        owner, masks = q._owner, q._masks
+        key = 0
+        for first, inside in spans:
+            between = masks[owner[first]] & inside
+            if between:
+                key += _delta_key(between.bit_count())
+        yield key
 
 
 def zeta_c(a: NoncrossingPartition, b: NoncrossingPartition) -> Polynomial:

@@ -123,8 +123,8 @@ def _mono_key(m: Monomial) -> tuple:
     return sum(e for _, e in m), m[::-1]
 
 
-_FACTOR_RE = re.compile(r"^([dMC])([0-9]+)(?:\^([0-9]+))?$")
-_RATIONAL_RE = re.compile(r"^[0-9]+(?:/0*[1-9][0-9]*)?$")
+_FACTOR_RE = re.compile(r"([dMC])([0-9]+)(?:\^([0-9]+))?")
+_RATIONAL_RE = re.compile(r"[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 class Polynomial:
@@ -330,12 +330,12 @@ class Polynomial:
         terms: dict[Monomial, Fraction] = {}
         for sign, chunk in zip(parts[1::2], parts[2::2]):
             factors = chunk.split("*")
-            if not _RATIONAL_RE.match(factors[0]):
+            if not _RATIONAL_RE.fullmatch(factors[0]):
                 raise ValueError(f"term {chunk!r} must start with a rational coefficient")
             coeff = Fraction(factors[0]) * (-1 if sign == "-" else 1)
             mono = []
             for factor in factors[1:]:
-                m = _FACTOR_RE.match(factor)
+                m = _FACTOR_RE.fullmatch(factor)
                 if not m:
                     raise ValueError(f"bad variable factor {factor!r}")
                 var = _make_var(_SYMBOL_FAMILY[m.group(1)], int(m.group(2)))
@@ -400,3 +400,22 @@ def poly_sum(terms: Iterable) -> Polynomial:
     for t in terms:
         result = result + as_polynomial(t)
     return result
+
+
+def shift_sum(pairs: Iterable[tuple[int, Polynomial]]) -> Polynomial:
+    """The sum of m * p over pairs (key, p), key the packed key of a monomial m
+    with coefficient 1: each product only shifts the keys of p, so the terms
+    go straight into one dict, with no coefficient products."""
+    out: dict[int, Scalar] = {}
+    for shift, p in pairs:
+        guard = _GUARD  # per pair: making a key may give a variable its slot
+        for key, coeff in p._terms.items():
+            key += shift
+            if key & guard:
+                raise OverflowError(f"an exponent of the product exceeds {_MAX_EXPONENT}")
+            s = out.get(key, 0) + coeff
+            if s:
+                out[key] = s if type(s) is int or s.denominator != 1 else s.numerator
+            else:
+                del out[key]
+    return Polynomial._raw(out)

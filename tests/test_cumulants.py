@@ -58,8 +58,11 @@ from nckit.series import (
 )
 from nckit.trees import (
     enumerate_arrangements,
+    enumerate_prime,
+    eta,
     partition_of,
     weight_arrangement,
+    weight_tree,
 )
 
 GOLDEN_MOMENTS = {
@@ -246,8 +249,25 @@ def test_mu_n2_explicit():
     assert dict(_mu_top_column(2)) == {finest(2): -1, coarsest(2): 1}
 
 
+def tree_column_by_tree(n):
+    """The tree column one prime tree at a time: each tree's weight goes to
+    the partition ``eta`` reads off it, with sign (-1)^(blocks - 1)."""
+    groups = {}
+    for t in enumerate_prime(n):
+        groups.setdefault(eta(t), []).append(weight_tree(t))
+    return {
+        p: (-1) ** (p.block_count - 1) * poly_sum(weights)
+        for p, weights in groups.items()
+    }
+
+
+def test_tree_column_matches_per_tree_grouping():
+    for n in range(1, 9):
+        assert dict(_tree_column(n)) == tree_column_by_tree(n), n
+
+
 def test_tree_column_matches_matrix_column():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for p, value in _mu_top_column(n):
             assert mu_column_via_trees(p) == value
 

@@ -23,6 +23,8 @@ from nckit.poly import (
     moment,
     poly_product,
     poly_sum,
+    shift_sum,
+    variable_key,
 )
 
 D1, D2 = delta(1), delta(2)
@@ -233,7 +235,10 @@ def test_grlex_tie_break_uses_largest_variable():
 
 
 def test_parse_rejects_junk():
-    for bad in ["", "M1 +", "1*e3", "1*M0", "x", "1**M1", "- ", "1/0*M1"]:
+    for bad in [
+        "", "M1 +", "1*e3", "1*M0", "x", "1**M1", "- ", "1/0*M1",
+        "1\n*M1", "2*M1\n*M2",  # a newline must not end a pattern's match early
+    ]:
         with pytest.raises(ValueError):
             Polynomial.parse(bad)
 
@@ -273,6 +278,30 @@ def test_helper_sums_products():
     assert poly_sum([]) == 0
     assert poly_product([]) == 1
     assert poly_sum([1, M1]) == P("1*M1 + 1")
+
+
+def test_shift_sum():
+    m1, m2 = variable_key(M1), variable_key(M2)
+    assert shift_sum([]) == Polynomial.zero()
+    assert shift_sum([(m1, P("1*M2 + 1")), (m2, P("2*M1"))]) == P("3*M1*M2 + 1*M1")
+    # coefficients that cancel drop their key
+    cancelled = shift_sum([(m1, P("1*M2 - 1")), (0, P("1*M1"))])
+    assert cancelled == P("1*M1*M2")
+    half = Polynomial.constant(Fraction(1, 2))
+    whole = shift_sum([(m1, half), (m1, half)])
+    assert whole == Polynomial.from_variable(M1)
+    assert [type(c) for _, c in whole.items()] == [int]
+
+
+def test_shift_sum_guards_every_exponent():
+    top = P("1*M1^2147483647")
+    assert shift_sum([(m, top) for m in (0, variable_key(M2))]) == P(
+        "1*M1^2147483647*M2 + 1*M1^2147483647"
+    )
+    with pytest.raises(OverflowError):
+        shift_sum([(variable_key(M1), top)])
+    with pytest.raises(OverflowError):
+        shift_sum([(variable_key(M1) * 2**30, P("1*M1^1073741824"))])
 
 
 # -- canonical coefficient form ----------------------------------------------

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .poly import Polynomial, delta, poly_product, variable_key
+from .poly import Polynomial, delta, variable_key
 
 
 class NotAPartition(Exception):
@@ -247,10 +247,13 @@ def _arc_spans(p: NoncrossingPartition) -> list:
     return spans
 
 
+def _weight_key(p: NoncrossingPartition) -> int:
+    return sum(_delta_key(inside.bit_count()) for _, inside in _arc_spans(p))
+
+
 def weight(p: NoncrossingPartition) -> Polynomial:
     """Product of d_g over arcs, g = number of ground elements inside the arc."""
-    key = sum(_delta_key(inside.bit_count()) for _, inside in _arc_spans(p))
-    return Polynomial._raw({key: 1})
+    return Polynomial._raw({_weight_key(p): 1})
 
 
 def leq(p: NoncrossingPartition, q: NoncrossingPartition) -> bool:
@@ -290,6 +293,7 @@ def _require_standard_ground(p: NoncrossingPartition) -> int:
 
 # -- Kreweras complement -----------------------------------------------------
 
+@lru_cache(maxsize=None)
 def kreweras(p: NoncrossingPartition) -> NoncrossingPartition:
     """Kreweras complement: slots i and j are together iff covered by the same arcs."""
     n = _require_standard_ground(p)
@@ -303,6 +307,7 @@ def kreweras(p: NoncrossingPartition) -> NoncrossingPartition:
     )
 
 
+@lru_cache(maxsize=None)
 def kreweras_inv(p: NoncrossingPartition) -> NoncrossingPartition:
     """Inverse complement, via complement-of-rotation (K squared is a rotation)."""
     n = _require_standard_ground(p)
@@ -349,7 +354,7 @@ def zeta(p: NoncrossingPartition, q: NoncrossingPartition) -> Polynomial:
     """
     if not leq(p, q):
         return Polynomial.zero()
-    return poly_product(weight(restrict(p, b)) for b in q.blocks)
+    return Polynomial._raw({sum(_weight_key(restrict(p, b)) for b in q.blocks): 1})
 
 
 def zeta_arc_form(p: NoncrossingPartition, q: NoncrossingPartition) -> Polynomial:
@@ -396,8 +401,9 @@ def zeta_c_closed(a: NoncrossingPartition, b: NoncrossingPartition) -> Polynomia
     if not leq(a, b):
         return Polynomial.zero()
     owner = a._owner
-    return poly_product(
-        delta(iota(restrict(a, range(block[0], block[-1] + 1))) - 1)
+    key = sum(
+        _delta_key(iota(restrict(a, range(block[0], block[-1] + 1))) - 1)
         for block in b.blocks
         if 1 not in block and owner[block[0]] != owner[block[-1]]
     )
+    return Polynomial._raw({key: 1})

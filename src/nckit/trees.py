@@ -17,8 +17,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
-from .ncpart import NoncrossingPartition, enumerate_nc
-from .poly import Polynomial, delta, poly_product
+from .ncpart import NoncrossingPartition, _delta_key, enumerate_nc
+from .poly import Polynomial
 
 
 class NotPrime(Exception):
@@ -148,18 +148,13 @@ def eta(t: Tree) -> NoncrossingPartition:
 
 def weight_tree(t: Tree) -> Polynomial:
     """Product of d_{deg(v)-1} over internal vertices off the leftmost branch."""
-    factors = []
-
-    def walk(node: Tree, on_left_branch: bool) -> None:
+    def key(node: Tree, on_left_branch: bool) -> int:
         if not node:
-            return
-        if not on_left_branch:
-            factors.append(delta(len(node) - 1))
-        for i, c in enumerate(node):
-            walk(c, on_left_branch and i == 0)
+            return 0
+        own = 0 if on_left_branch else _delta_key(len(node) - 1)
+        return own + sum(key(c, on_left_branch and i == 0) for i, c in enumerate(node))
 
-    walk(t, True)
-    return poly_product(factors)
+    return Polynomial._raw({key(t, True): 1})
 
 
 # -- arrangements ------------------------------------------------------------
@@ -171,7 +166,7 @@ class Arrangement:
     leaves of a full binary tree in left-to-right order.
     """
 
-    __slots__ = ("components", "_hash")
+    __slots__ = ("components", "_hash", "_partition")
 
     def __init__(self, components: Iterable[tuple]):
         comps = []
@@ -200,6 +195,7 @@ class Arrangement:
     def _init_raw(self, comps: tuple) -> None:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_hash", hash(comps))
+        object.__setattr__(self, "_partition", None)  # filled by partition_of
 
     def __setattr__(self, name, value):
         raise AttributeError("Arrangement is immutable")
@@ -237,10 +233,14 @@ class Arrangement:
 
 
 def partition_of(a: Arrangement) -> NoncrossingPartition:
-    """The noncrossing partition whose blocks are the component dot sets."""
-    return NoncrossingPartition._trusted(
-        [pos for pos, _ in a.components], range(1, a.size + 1)
-    )
+    """The noncrossing partition whose blocks are the component dot sets,
+    built on the first call and kept on the arrangement."""
+    if a._partition is None:
+        part = NoncrossingPartition._trusted(
+            [pos for pos, _ in a.components], range(1, a.size + 1)
+        )
+        object.__setattr__(a, "_partition", part)
+    return a._partition
 
 
 def _component_vertices(pos: tuple, shape: Tree) -> list[tuple]:
@@ -313,10 +313,8 @@ def weight_arrangement(a: Arrangement) -> Polynomial:
     while node:
         left_path.add((first_pos[0], first_pos[n_leaves(node) - 1]))
         node = node[0]
-    factors = [
-        delta(c + 1) for key, c in sorted(cov.items()) if key not in left_path
-    ]
-    return poly_product(factors)
+    key = sum(_delta_key(c + 1) for span, c in cov.items() if span not in left_path)
+    return Polynomial._raw({key: 1})
 
 
 # -- the bijection with prime trees ------------------------------------------

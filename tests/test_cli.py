@@ -465,6 +465,22 @@ def test_verify_passes(capsys):
     )
 
 
+def test_verify_passes_at_the_benchmarked_size(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--max-n", "6")
+    assert rc == 0
+    assert out == (
+        "ok counting: 18 cases\n"
+        "ok zeta forms: 3980 cases\n"
+        "ok structural maps: 1741 cases\n"
+        "ok triple agreement: 12 cases\n"
+        "ok round trip: 42 cases\n"
+        "ok specializations: 12 cases\n"
+        "ok cancellation: 524 cases\n"
+        "ok sign pattern: 29 cases\n"
+        "all checks passed (max n = 6)\n"
+    )
+
+
 def test_verify_rejects_bad_max_n(capsys):
     assert run_cli(capsys, "verify", "--max-n", "0")[0] == 2
 

@@ -12,11 +12,15 @@ from nckit.cumulants import (
     DIRECTION_MOMENTS,
     FLAVOR_BOOLEAN,
     FLAVOR_FREE,
+    METHOD_LAGRANGE,
+    METHOD_MOBIUS,
+    METHOD_TREES,
     LengthMismatch,
     PreconditionViolated,
     TransformTable,
     _CUMULANT_ENTRIES,
     _coarsenings,
+    _first_block,
     _lagrange_entries,
     _linear_extension,
     _mu_top_column,
@@ -41,6 +45,7 @@ from nckit.ncpart import (
     coarsest,
     enumerate_nc,
     finest,
+    kreweras,
     kreweras_inv,
     leq,
     weight,
@@ -145,6 +150,43 @@ def test_lagrange_one_pass_matches_per_entry_formula():
 def test_lagrange_entries_extend_by_one():
     for n in range(1, 10):
         assert _lagrange_entries(n + 1)[:n] == _lagrange_entries(n), n
+
+
+def first_block_witness(n):
+    """C_1..C_n in the M and d variables as the triangular solve of the
+    first-block recursion (``_first_block`` with ``inverse=True``).
+
+    It shares only that recursion with the forward table, and no series,
+    lattice or tree code with the three inverse routes.
+    """
+    ms = [Polynomial.from_variable(moment(k)) for k in range(1, n + 1)]
+    ds = [Polynomial.from_variable(delta(k)) for k in range(1, n + 1)]
+    return _first_block(ms, ds, True, Polynomial.one())
+
+
+@pytest.fixture(scope="module")
+def witness():
+    # entry k of the solve reads only M_1..M_k, so each n is a prefix
+    return first_block_witness(14)
+
+
+def test_lagrange_matches_first_block_witness(witness):
+    for n in range(1, 15):
+        assert list(cumulants_from_moments(n, METHOD_LAGRANGE).entries) == witness[:n], n
+
+
+def test_combinatorial_routes_match_first_block_witness(witness):
+    for method in (METHOD_MOBIUS, METHOD_TREES):
+        for n in range(1, 8):
+            assert list(cumulants_from_moments(n, method).entries) == witness[:n], (method, n)
+
+
+def test_first_block_witness_specializations(witness):
+    for kind, value in (("F", 1), ("B", 0)):
+        series = standard_series(kind, 12)
+        values = {delta(k): value for k in range(1, 13)}
+        for k in range(1, 13):
+            assert witness[k - 1].substitute(values) == series.coeff(k - 1), (kind, k)
 
 
 def test_every_route_returns_n_entries():
@@ -576,6 +618,7 @@ def test_clear_caches_empties_every_package_cache():
         cumulants_from_moments(4, method)
     moments_from_cumulants(4)
     enumerate_arrangements(4)
+    kreweras_inv(kreweras(coarsest(4)))
     caches = {}
     for name, module in list(sys.modules.items()):
         if name == "nckit" or name.startswith("nckit."):
@@ -583,6 +626,8 @@ def test_clear_caches_empties_every_package_cache():
                 if callable(getattr(value, "cache_info", None)):
                     caches[f"{value.__module__}.{value.__qualname__}"] = value
     assert any(f.cache_info().currsize for f in caches.values())
+    assert caches["nckit.ncpart.kreweras"].cache_info().currsize
+    assert caches["nckit.ncpart.kreweras_inv"].cache_info().currsize
     clear_caches()
     assert {
         name: f.cache_info().currsize

@@ -285,6 +285,39 @@ def test_zeta_c_against_closed_form_exhaustive():
                 assert zeta_c(a, b) == zeta_c_closed(a, b), (a, b)
 
 
+def is_unit_monomial_or_zero(f):
+    return f.is_zero or [c for _, c in f.items()] == [1]
+
+
+def zeta_by_product(p, q):
+    # the blockwise form multiplied out through Polynomial.__mul__
+    if not leq(p, q):
+        return Polynomial.zero()
+    return poly_product(weight(restrict(p, b)) for b in q.blocks)
+
+
+def zeta_c_closed_by_product(a, b):
+    # the closed form multiplied out through Polynomial.__mul__
+    if not leq(a, b):
+        return Polynomial.zero()
+    return poly_product(
+        delta(iota(restrict(a, range(block[0], block[-1] + 1))) - 1)
+        for block in b.blocks
+        if 1 not in block and a.block_of(block[0]) != a.block_of(block[-1])
+    )
+
+
+def test_zeta_forms_match_their_products():
+    for n in range(1, 6):
+        for p in enumerate_nc(n):
+            for q in enumerate_nc(n):
+                z, zc = zeta(p, q), zeta_c_closed(p, q)
+                assert z == zeta_by_product(p, q), (p, q)
+                assert zc == zeta_c_closed_by_product(p, q), (p, q)
+                assert is_unit_monomial_or_zero(z), (p, q)
+                assert is_unit_monomial_or_zero(zc), (p, q)
+
+
 # -- block structure against the definitions ---------------------------------
 
 def leq_by_containment(p, q):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nckit.ncpart import NoncrossingPartition, enumerate_nc, kreweras, weight
-from nckit.poly import Polynomial
+from nckit.poly import Polynomial, delta, poly_product
 from nckit.trees import (
     LEAF,
     Arrangement,
@@ -197,6 +197,33 @@ def test_arrangement_equality_and_order_independence():
     assert partition_of(a).render() == "14|23"
 
 
+def test_partition_is_kept_on_the_arrangement():
+    built = Arrangement([((1, 4), CHERRY), ((2, 3), CHERRY)])
+    bare = Arrangement._trusted(built.components)
+    assert partition_of(bare) is partition_of(bare)
+    assert partition_of(built) is partition_of(built)
+    assert partition_of(built) == partition_of(bare)
+
+
+def test_kept_partition_is_invisible():
+    comps = (((1, 4), CHERRY), ((2, 3), CHERRY))
+    fresh = Arrangement._trusted(comps)
+    filled = Arrangement._trusted(comps)
+    partition_of(filled)
+    assert fresh == filled
+    assert hash(fresh) == hash(filled)
+    assert repr(fresh) == repr(filled) == "Arrangement(14:[0, 0], 23:[0, 0])"
+    assert fresh.to_json_list() == filled.to_json_list()
+
+
+def test_arrangement_is_immutable():
+    a = Arrangement([((1, 4), CHERRY), ((2, 3), CHERRY)])
+    for name, value in (("components", ()), ("_partition", None), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    assert a.components == (((1, 4), CHERRY), ((2, 3), CHERRY))
+
+
 def test_arrangement_json():
     a = Arrangement([((1, 4), CHERRY), ((2, 3), CHERRY)])
     assert a.to_json_list() == [
@@ -268,6 +295,51 @@ def test_weights_agree_across_the_bijection():
     for n in range(1, 6):
         for t in enumerate_prime(n):
             assert weight_arrangement(phi(t)) == weight_tree(t)
+
+
+def is_unit_monomial_or_zero(f):
+    return f.is_zero or [c for _, c in f.items()] == [1]
+
+
+def weight_tree_by_product(t):
+    # d_{deg(v)-1} over the vertices off the leftmost branch, multiplied out
+    # through Polynomial.__mul__
+    factors = []
+
+    def walk(node, on_left_branch):
+        if node:
+            if not on_left_branch:
+                factors.append(delta(len(node) - 1))
+            for i, c in enumerate(node):
+                walk(c, on_left_branch and i == 0)
+
+    walk(t, True)
+    return poly_product(factors)
+
+
+def weight_arrangement_by_product(a):
+    # d_{cover(v)+1} over the vertices off the leftmost branch of the dot-1
+    # component, multiplied out through Polynomial.__mul__
+    pos, shape = a.components[0]
+    left_path = set()
+    while shape:
+        left_path.add((pos[0], pos[n_leaves(shape) - 1]))
+        shape = shape[0]
+    return poly_product(
+        delta(c + 1) for span, c in cover_counts(a).items() if span not in left_path
+    )
+
+
+def test_weights_match_their_products():
+    for n in range(1, 7):
+        for t in enumerate_prime(n):
+            w = weight_tree(t)
+            assert w == weight_tree_by_product(t), t
+            assert is_unit_monomial_or_zero(w), t
+        for a in enumerate_arrangements(n):
+            w = weight_arrangement(a)
+            assert w == weight_arrangement_by_product(a), a
+            assert is_unit_monomial_or_zero(w), a
 
 
 def test_singleton_arrangement_weight_matches_partition_weight():

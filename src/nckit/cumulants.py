@@ -49,6 +49,7 @@ from itertools import accumulate, combinations
 
 from .ncpart import (
     NoncrossingPartition,
+    _delta_key,
     _zeta_keys,
     coarsest,
     enumerate_nc,
@@ -350,7 +351,6 @@ def _tree_column(n: int) -> tuple:
     is the weight ``weight_tree`` reads; one partition is built per block
     tuple, with sign (-1)^(blocks - 1).
     """
-    d_keys = [0] + [variable_key(delta(k)) for k in range(1, n + 1)]
     memo: dict[int, tuple] = {}  # the enumerated trees keep every id alive
 
     def summary(node):
@@ -370,7 +370,7 @@ def _tree_column(n: int) -> tuple:
         for (_, inner, _, _), offset in zip(kids[1:], cuts):
             blocks += [tuple(x + offset for x in b) for b in inner]
         rest = sum(k[2] for k in kids[1:])
-        every = d_keys[len(node) - 1] + kids[0][2] + rest
+        every = _delta_key(len(node) - 1) + kids[0][2] + rest
         return cuts[-1], tuple(blocks), every, kids[0][3] + rest
 
     groups: dict[tuple, list] = {}
@@ -557,7 +557,7 @@ def psi(a: Arrangement, rho: NoncrossingPartition) -> Arrangement:
         for idx in sorted((i, j), reverse=True):
             comps.pop(idx)
         comps.append((pos_i + pos_j, (shape_i, shape_j)))
-    return Arrangement(comps)
+    return Arrangement._trusted(comps)
 
 
 def verify_cover_identity(a: Arrangement, rho: NoncrossingPartition) -> bool:

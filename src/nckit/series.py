@@ -1,4 +1,4 @@
-"""Truncated Laurent series with polynomial coefficients.
+"""Truncated Laurent series over the coefficient ring.
 
 A series carries an explicit window [low, order): coefficients are stored for
 exponents low <= k < order and are exact there; everything at or above
@@ -14,6 +14,10 @@ Window rules (f with window [lf, of), g with [lg, og)):
     recip     [-lf,          of - 2*lf)
     compose   order = min(of * lg, og + (max(lf, 1) - 1) * lg)
 
+Coefficients are kept as they arrive: ints and Fractions stay scalars and
+Polynomials stay as they are (a Variable becomes a Polynomial); anything else
+raises ``TypeError``.  ``coeff()`` always returns a Polynomial.
+
 Reciprocals and compositional inverses need the leading coefficient to be a
 nonzero rational, because those are the only units of the coefficient ring.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, as_polynomial, cumulant, delta, moment, poly_sum, power_by_squaring
+from .poly import Polynomial, Variable, as_polynomial, cumulant, delta, moment, power_by_squaring
 
 
 class OutOfTruncationRange(Exception):
@@ -48,7 +52,7 @@ class LaurentSeries:
     __slots__ = ("low", "order", "coeffs")
 
     def __init__(self, low: int, coeffs: Sequence, order: int | None = None):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [_as_coefficient(c) for c in coeffs]
         if order is None:
             order = low + len(cs)
         if len(cs) != order - low:
@@ -58,7 +62,7 @@ class LaurentSeries:
         if order <= low:
             raise ValueError(f"empty window [{low}, {order})")
         # canonical form: strip known-zero leading coefficients, keep the order
-        while len(cs) > 1 and cs[0].is_zero:
+        while len(cs) > 1 and not cs[0]:
             cs.pop(0)
             low += 1
         object.__setattr__(self, "low", low)
@@ -73,19 +77,19 @@ class LaurentSeries:
     @property
     def is_zero(self) -> bool:
         """True when every stored coefficient is zero (the truncated zero series)."""
-        return all(c.is_zero for c in self.coeffs)
+        return not any(self.coeffs)
 
     def coeff(self, k: int) -> Polynomial:
         if k >= self.order:
             raise OutOfTruncationRange(
                 f"coefficient of z^{k} is beyond the truncation order {self.order}"
             )
-        return self._at(k)
+        return as_polynomial(self._at(k))
 
-    def _at(self, k: int) -> Polynomial:
+    def _at(self, k: int):
         # internal: caller guarantees k < self.order
         if k < self.low:
-            return Polynomial.zero()
+            return 0
         return self.coeffs[k - self.low]
 
     def __eq__(self, other) -> bool:
@@ -100,9 +104,7 @@ class LaurentSeries:
     __hash__ = None
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"z^{k}: {c.render()}" for k, c in enumerate(self.coeffs, start=self.low)
-        )
+        body = ", ".join(f"z^{k}: {self.coeff(k).render()}" for k in range(self.low, self.order))
         return f"LaurentSeries[{self.low}, {self.order})({body})"
 
     # -- linear structure ---------------------------------------------------
@@ -126,9 +128,7 @@ class LaurentSeries:
 
     def scale(self, factor) -> "LaurentSeries":
         """Multiply by an exact scalar or polynomial; the window is unchanged."""
-        f = as_polynomial(factor)
-        if f is NotImplemented:
-            raise TypeError(f"cannot scale by {factor!r}")
+        f = _as_coefficient(factor)
         return LaurentSeries(self.low, [c * f for c in self.coeffs], self.order)
 
     def shift(self, k: int) -> "LaurentSeries":
@@ -141,7 +141,7 @@ class LaurentSeries:
             return self
         if order > self.low:
             return LaurentSeries(self.low, self.coeffs[: order - self.low], order)
-        return LaurentSeries(order - 1, [Polynomial.zero()], order)
+        return LaurentSeries(order - 1, [0], order)
 
     # -- multiplicative structure -------------------------------------------
 
@@ -155,9 +155,7 @@ class LaurentSeries:
         order = min(self.order + other.low, other.order + self.low)
         # k < order keeps i below self.order and k - i below other.order
         coeffs = [
-            poly_sum(
-                self._at(i) * other._at(k - i) for i in range(self.low, k - other.low + 1)
-            )
+            sum(self._at(i) * other._at(k - i) for i in range(self.low, k - other.low + 1))
             for k in range(low, order)
         ]
         return LaurentSeries(low, coeffs, order)
@@ -172,16 +170,11 @@ class LaurentSeries:
         """
         if self.is_zero:
             raise NotInvertible("cannot invert a series with no visible nonzero term")
-        lead = self.coeffs[0].as_rational()
-        if lead is None:
-            raise NonUnitLeadingCoefficient(
-                f"leading coefficient {self.coeffs[0].render()} is not a rational unit"
-            )
-        c = Fraction(1) / lead
+        c = Fraction(1) / self._rational_lead("leading")
         a = [x * c for x in self.coeffs]
-        s = [Polynomial.one()]
+        s = [1]
         for k in range(1, len(a)):
-            s.append(-poly_sum(a[j] * s[k - j] for j in range(1, k + 1)))
+            s.append(-sum(a[j] * s[k - j] for j in range(1, k + 1)))
         return LaurentSeries(-self.low, [x * c for x in s], self.order - 2 * self.low)
 
     def power(self, k: int) -> "LaurentSeries":
@@ -232,14 +225,14 @@ class LaurentSeries:
         for k in range(self.low, self.order):
             c = self.coeffs[k - self.low]
             if k == 0:
-                if not c.is_zero:
+                if c:
                     result = result + constant_series(c, target)
                 continue
             if pw is None:
                 pw = (inner ** k).truncate(target)
             else:
                 pw = (pw * inner).truncate(target)
-            if not c.is_zero:
+            if c:
                 result = result + pw.scale(c)
         return result
 
@@ -249,29 +242,32 @@ class LaurentSeries:
             raise NotInvertible(
                 f"compositional inverse needs valuation exactly 1, got {self.low}"
             )
-        lead = self.coeffs[0].as_rational()
-        if lead is None:
-            raise NonUnitLeadingCoefficient(
-                f"linear coefficient {self.coeffs[0].render()} is not a rational unit"
-            )
+        lead = self._rational_lead("linear")
         c = Fraction(1) / lead
-        n = self.order
-        z = identity_series(n)
+        z = identity_series(self.order)
         tail = self - z.scale(lead)  # valuation >= 2 after the linear term cancels
-        g = z.scale(c)
-        for _ in range(n + 1):
-            nxt = (z - tail.compose(g)).scale(c)
-            if nxt == g:
-                return g
-            g = nxt
-        raise RuntimeError("compositional inverse failed to stabilize")  # unreachable
+        g = z.scale(c)  # exact through z^1; each pass makes one more coefficient exact
+        for _ in range(self.order - 2):
+            g = (z - tail.compose(g)).scale(c)
+        return g
+
+    def _rational_lead(self, which: str):
+        lead = self.coeffs[0]
+        q = lead.as_rational() if isinstance(lead, Polynomial) else lead
+        if q is None:
+            raise NonUnitLeadingCoefficient(
+                f"{which} coefficient {lead.render()} is not a rational unit"
+            )
+        return q
 
 
-def _coerce(c) -> Polynomial:
-    p = as_polynomial(c)
-    if p is NotImplemented:
-        raise TypeError(f"series coefficients must be polynomials or rationals, got {c!r}")
-    return p
+def _as_coefficient(c):
+    """c as a series stores it: an exact scalar or Polynomial as is, a Variable as a Polynomial."""
+    if isinstance(c, Variable):
+        return Polynomial.from_variable(c)
+    if isinstance(c, (int, Fraction, Polynomial)) and not isinstance(c, bool):
+        return c
+    raise TypeError(f"series coefficients must be polynomials or rationals, got {c!r}")
 
 
 # -- constructors ------------------------------------------------------------

@@ -39,6 +39,9 @@ def test_coeff_window():
     assert f.coeff(-1) == 2
     assert f.coeff(0) == 0
     assert f.coeff(1) == 5
+    # scalars are kept inside; coeff() hands out a Polynomial in and below the window
+    assert all(isinstance(f.coeff(k), Polynomial) for k in range(-3, 2))
+    assert repr(f) == "LaurentSeries[-1, 2)(z^-1: 2, z^0: 0, z^1: 5)"
     with pytest.raises(OutOfTruncationRange):
         f.coeff(2)
 
@@ -57,6 +60,21 @@ def test_constructor_validation():
         LaurentSeries(0, [1, 2], order=5)
     with pytest.raises(ValueError):
         LaurentSeries(3, [], order=3)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(TypeError):
+            LaurentSeries(0, [bad])
+        with pytest.raises(TypeError):
+            LaurentSeries(0, [1, 2]).scale(bad)
+    assert LaurentSeries(0, [delta(1)]).coeff(0) == Polynomial.from_variable(delta(1))
+
+
+def test_rational_series_build_no_polynomials(monkeypatch):
+    f = LaurentSeries(1, [F(2), -1, F(1, 3), 5, 0, F(-7, 2), 1, 2, F(1, 5), -3, 4])
+    assert f.order == 12
+    raw, built = Polynomial._raw, []
+    monkeypatch.setattr(Polynomial, "_raw", staticmethod(lambda t: built.append(1) or raw(t)))
+    f.recip(), f ** 5, f.derivative(), f.compose(f), f.comp_inverse()
+    assert len(built) == 0
 
 
 def test_add_mul_window_rules():

@@ -360,6 +360,8 @@ def as_fraction(x) -> Fraction:
 
 def _coefficient(x) -> Scalar:
     """A scalar as a Polynomial stores it: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
     q = as_fraction(x)
     return q.numerator if q.denominator == 1 else q
 

@@ -170,7 +170,7 @@ class LaurentSeries:
         """
         if self.is_zero:
             raise NotInvertible("cannot invert a series with no visible nonzero term")
-        c = Fraction(1) / self._rational_lead("leading")
+        _, c = self._unit_lead("leading")
         a = [x * c for x in self.coeffs]
         s = [1]
         for k in range(1, len(a)):
@@ -242,8 +242,7 @@ class LaurentSeries:
             raise NotInvertible(
                 f"compositional inverse needs valuation exactly 1, got {self.low}"
             )
-        lead = self._rational_lead("linear")
-        c = Fraction(1) / lead
+        lead, c = self._unit_lead("linear")
         z = identity_series(self.order)
         tail = self - z.scale(lead)  # valuation >= 2 after the linear term cancels
         g = z.scale(c)  # exact through z^1; each pass makes one more coefficient exact
@@ -251,14 +250,16 @@ class LaurentSeries:
             g = (z - tail.compose(g)).scale(c)
         return g
 
-    def _rational_lead(self, which: str):
+    def _unit_lead(self, which: str):
+        """The rational leading coefficient and its inverse, an int when integral."""
         lead = self.coeffs[0]
         q = lead.as_rational() if isinstance(lead, Polynomial) else lead
         if q is None:
             raise NonUnitLeadingCoefficient(
                 f"{which} coefficient {lead.render()} is not a rational unit"
             )
-        return q
+        c = Fraction(1) / q
+        return q, c.numerator if c.denominator == 1 else c
 
 
 def _as_coefficient(c):

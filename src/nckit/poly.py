@@ -230,8 +230,9 @@ class Polynomial:
             return Polynomial.zero()
         out: dict[int, Scalar] = {}
         guard = _GUARD
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        short, long = sorted((self._terms, other._terms), key=len)  # fewer outer passes
+        for m1, c1 in short.items():
+            for m2, c2 in long.items():
                 mono = m1 + m2
                 if mono & guard:
                     raise OverflowError(f"an exponent of the product exceeds {_MAX_EXPONENT}")

@@ -327,8 +327,7 @@ def standard_series(kind: str, order: int) -> LaurentSeries:
     # kind == "F": F_n = -1/(n-1) [z^1] M^{-(n-1)} for n >= 2, F_1 = M_1
     m = standard_series("M", order + 2)
     inv = m.recip()
-    coeffs: list = [Polynomial.from_variable(moment(1))]
-    pw = inv
+    coeffs, pw = [moment(1)], inv
     for n in range(2, order + 1):
         coeffs.append(pw.coeff(1) * Fraction(-1, n - 1))
         if n <= order - 1:

@@ -65,6 +65,7 @@ from .poly import (
     as_fraction,
     cumulant,
     delta,
+    dot,
     moment,
     poly_product,
     poly_sum,
@@ -255,7 +256,8 @@ def product_cumulant(p: NoncrossingPartition) -> Polynomial:
 
 
 def _first_block(seq, deltas, inverse: bool, one) -> list:
-    """Yoshida's formula split at the block that contains 1, over any ring.
+    """Yoshida's formula split at the block that contains 1, over Polynomials
+    or exact rationals (each sum of products is one `dot`).
 
     With G = 1 + sum_g d_g*M_g*z^g and P[j][b] = [z^b] G^j*(1 + sum_t M_t*z^t),
     M_n = sum_k C_k*P[k-1][n-k]: the k - 1 gaps of the first block fill
@@ -264,15 +266,14 @@ def _first_block(seq, deltas, inverse: bool, one) -> list:
     earlier ones.  C_n enters M_n with coefficient 1, so the inverse
     (``seq`` holds moments) is a triangular solve.  Returns the other sequence.
     """
-    zero = one - one
     moments, cumulants, gaps, rows = [one], [], [one], []
     for n, (x, d) in enumerate(zip(seq, deltas), start=1):
         rows.append([])
         rows[0].append(moments[-1])
         for j in range(1, n):
             b, prev = n - 1 - j, rows[j - 1]
-            rows[j].append(sum((gaps[a] * prev[b - a] for a in range(b + 1)), zero))
-        rest = sum((cumulants[k - 1] * rows[k - 1][n - k] for k in range(1, n)), zero)
+            rows[j].append(dot(zip(gaps, prev[b::-1])))  # gaps[a] * prev[b - a], a <= b
+        rest = dot(zip(cumulants, [row[-1] for row in rows]))  # C_k * P[k-1][n-k], k < n
         c, m = (x - rest, x) if inverse else (x, x + rest)
         cumulants.append(c)
         moments.append(m)
@@ -414,7 +415,7 @@ def _lagrange_entries(n: int) -> tuple:
     h = m.hadamard(standard_series("Delta", n + 2)).recip()
     entries, pw = [Polynomial.from_variable(moment(1))], h
     for k in range(2, n + 1):
-        residue = poly_sum(base._at(i) * pw._at(-1 - i) for i in range(base.low, -pw.low))
+        residue = dot((base._at(i), pw._at(-1 - i)) for i in range(base.low, -pw.low))
         entries.append(residue * Fraction(1, k - 1))
         pw = (pw * h).truncate(n - k)
     return tuple(entries)

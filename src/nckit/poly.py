@@ -16,9 +16,17 @@ field in use, and a product reaching 2**31 raises ``OverflowError`` instead of
 carrying into the next field.  The public API speaks sorted
 ``(Variable, exponent)`` tuples, the empty tuple being the constant monomial.
 
+Every Polynomial product runs through one kernel, `_add_product`: ``p * q``
+runs it once, and ``dot(pairs)`` runs it once per pair into one shared dict,
+so a sum of products builds no intermediate Polynomial.  A scalar factor
+scales each term directly, and an integral coefficient times p/q with q
+dividing it stays an int.
+
 Rendering is canonical and parseable: terms in graded-lex descending order
 (variable order d1 < d2 < ... < M1 < M2 < ... < C1 < C2 < ...), each term with
 an explicit rational coefficient, e.g. ``1*C1^2 + 1*C2`` or ``-2/3*d1*M2``.
+`render` sorts on one int per term: the degree above the exponents re-packed
+in variable order, the largest variable most significant.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ def _make_var(family: int, index: int) -> Variable:
 # with all exponents >= 1.  The empty tuple is the constant monomial.
 Monomial = tuple
 Scalar = Union[int, Fraction]
+_EXACT = (int, Fraction)  # the scalar types, matched exactly, so bools fall through
 
 _WIDTH = 32
 _FIELD = (1 << _WIDTH) - 1
@@ -116,11 +125,6 @@ def _unpack(key: int) -> Monomial:
         key ^= exp << shift
     out.sort()
     return tuple(out)
-
-
-def _mono_key(m: Monomial) -> tuple:
-    """Graded lex: total degree first, then exponents scanned from the largest variable down."""
-    return sum(e for _, e in m), m[::-1]
 
 
 _FACTOR_RE = re.compile(r"([dMC])([0-9]+)(?:\^([0-9]+))?")
@@ -223,24 +227,12 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        other = as_polynomial(other)
-        if other is NotImplemented:
+        if isinstance(other, Variable):
+            other = Polynomial.from_variable(other)
+        elif not isinstance(other, (Polynomial, int, Fraction)):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return Polynomial.zero()
         out: dict[int, Scalar] = {}
-        guard = _GUARD
-        short, long = sorted((self._terms, other._terms), key=len)  # fewer outer passes
-        for m1, c1 in short.items():
-            for m2, c2 in long.items():
-                mono = m1 + m2
-                if mono & guard:
-                    raise OverflowError(f"an exponent of the product exceeds {_MAX_EXPONENT}")
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s if type(s) is int or s.denominator != 1 else s.numerator
-                else:
-                    out.pop(mono, None)
+        _add_product(out, self._terms, other)
         return Polynomial._raw(out)
 
     __rmul__ = __mul__
@@ -253,7 +245,7 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self._terms == Polynomial.constant(other)._terms
         return NotImplemented
 
@@ -305,13 +297,33 @@ class Polynomial:
     def render(self) -> str:
         if not self._terms:
             return "0"
-        terms = sorted(self.items(), key=lambda t: _mono_key(t[0]), reverse=True)
+        width, field = _WIDTH, _FIELD
+        ranked = sorted(range(len(_VARS)), key=_VARS.__getitem__)  # rank -> slot
+        symbols = [_VARS[slot].symbol() for slot in ranked]
+        to_rank = [0] * len(ranked)  # slot -> shift of its field in variable order
+        for rank, slot in enumerate(ranked):
+            to_rank[slot] = width * rank
+        top = width * len(ranked)
+        terms = []
+        for key, coeff in self._terms.items():
+            degree = ordered = 0
+            while key:
+                slot = ((key & -key).bit_length() - 1) // width
+                exp = key >> width * slot & field
+                key ^= exp << width * slot
+                degree += exp
+                ordered |= exp << to_rank[slot]
+            terms.append((degree << top | ordered, ordered, coeff))
+        terms.sort(reverse=True)  # sort keys are distinct, so coefficients never compare
         pieces = []
-        for k, (mono, coeff) in enumerate(terms):
-            body = "*".join(
-                [str(abs(coeff))]
-                + [f"{v.symbol()}^{e}" if e > 1 else v.symbol() for v, e in mono]
-            )
+        for k, (_, key, coeff) in enumerate(terms):
+            factors = [str(abs(coeff))]
+            while key:
+                rank = ((key & -key).bit_length() - 1) // width
+                exp = key >> width * rank & field
+                key ^= exp << width * rank
+                factors.append(f"{symbols[rank]}^{exp}" if exp > 1 else symbols[rank])
+            body = "*".join(factors)
             if k == 0:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -403,6 +415,66 @@ def poly_sum(terms: Iterable) -> Polynomial:
     for t in terms:
         result = result + as_polynomial(t)
     return result
+
+
+def dot(pairs: Iterable[tuple]) -> Polynomial | Scalar:
+    """The sum of a * b over pairs of Polynomials or exact scalars, in the ring
+    of the operands: a scalar (an int when integral) when every operand is a
+    scalar, else a Polynomial whose product terms all go into one dict."""
+    out: dict[int, Scalar] = {}
+    total, ring = 0, False
+    for a, b in pairs:
+        if type(a) in _EXACT and type(b) in _EXACT:
+            total = a * b + total  # Fraction + 0: 0 + Fraction takes the slow reflected add
+        elif isinstance(a, Polynomial):
+            ring = True
+            _add_product(out, a._terms, b)
+        elif isinstance(b, Polynomial):
+            ring = True
+            _add_product(out, b._terms, a)
+        else:
+            total += as_fraction(a) * as_fraction(b)  # TypeError for bools, floats, ...
+    if not ring:
+        return total if type(total) is int or total.denominator != 1 else total.numerator
+    if total:
+        _add_product(out, {0: 1}, total)
+    return Polynomial._raw(out)
+
+
+def _add_product(out: dict, terms: dict, other) -> None:
+    """Add terms * other into out, other a Polynomial or an exact scalar.
+
+    This is the one coefficient-product loop of the module.  Each product key
+    is checked against the guard bits, and each stored coefficient is kept
+    canonical.  A scalar p/q scales each term directly, and an int
+    coefficient c that q divides becomes c // q * p with no Fraction built.
+    """
+    if isinstance(other, Polynomial):
+        guard, long = _GUARD, other._terms
+        if len(long) < len(terms):  # fewer outer passes
+            terms, long = long, terms
+        for m1, c1 in terms.items():
+            for m2, c2 in long.items():
+                key = m1 + m2
+                if key & guard:
+                    raise OverflowError(f"an exponent of the product exceeds {_MAX_EXPONENT}")
+                s = out.get(key, 0) + c1 * c2
+                if s:
+                    out[key] = s if type(s) is int or s.denominator != 1 else s.numerator
+                else:
+                    del out[key]
+        return
+    if type(other) not in _EXACT:
+        other = as_fraction(other)  # TypeError for bools, floats, ...
+    if not other:
+        return
+    num, den = other.numerator, other.denominator
+    for key, c in terms.items():
+        s = out.get(key, 0) + (c // den * num if type(c) is int and not c % den else c * other)
+        if s:
+            out[key] = s if type(s) is int or s.denominator != 1 else s.numerator
+        else:
+            del out[key]
 
 
 def shift_sum(pairs: Iterable[tuple[int, Polynomial]]) -> Polynomial:

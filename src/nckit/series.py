@@ -27,7 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, Variable, as_polynomial, cumulant, delta, moment, power_by_squaring
+from .poly import (
+    Polynomial, Variable, as_polynomial, cumulant, delta, dot, moment, power_by_squaring,
+)
 
 
 class OutOfTruncationRange(Exception):
@@ -61,13 +63,24 @@ class LaurentSeries:
             )
         if order <= low:
             raise ValueError(f"empty window [{low}, {order})")
+        self._set(low, cs, order)
+
+    @classmethod
+    def _trusted(cls, low: int, cs: Sequence, order: int) -> "LaurentSeries":
+        # internal fast path: caller guarantees order - low == len(cs) >= 1 and
+        # coefficients in stored form, as every operation on valid series makes
+        s = object.__new__(cls)
+        s._set(low, cs, order)
+        return s
+
+    def _set(self, low: int, cs: Sequence, order: int) -> None:
         # canonical form: strip known-zero leading coefficients, keep the order
-        while len(cs) > 1 and not cs[0]:
-            cs.pop(0)
-            low += 1
-        object.__setattr__(self, "low", low)
+        skip = 0
+        while skip < len(cs) - 1 and not cs[skip]:
+            skip += 1
+        object.__setattr__(self, "low", low + skip)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(cs[skip:]))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -114,7 +127,7 @@ class LaurentSeries:
             return NotImplemented
         low = min(self.low, other.low)
         order = min(self.order, other.order)
-        return LaurentSeries(
+        return LaurentSeries._trusted(
             low, [self._at(k) + other._at(k) for k in range(low, order)], order
         )
 
@@ -129,19 +142,19 @@ class LaurentSeries:
     def scale(self, factor) -> "LaurentSeries":
         """Multiply by an exact scalar or polynomial; the window is unchanged."""
         f = _as_coefficient(factor)
-        return LaurentSeries(self.low, [c * f for c in self.coeffs], self.order)
+        return LaurentSeries._trusted(self.low, [c * f for c in self.coeffs], self.order)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by z^k (exact)."""
-        return LaurentSeries(self.low + k, self.coeffs, self.order + k)
+        return LaurentSeries._trusted(self.low + k, self.coeffs, self.order + k)
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Forget coefficients at or above `order`."""
         if order >= self.order:
             return self
         if order > self.low:
-            return LaurentSeries(self.low, self.coeffs[: order - self.low], order)
-        return LaurentSeries(order - 1, [0], order)
+            return LaurentSeries._trusted(self.low, self.coeffs[: order - self.low], order)
+        return LaurentSeries._trusted(order - 1, [0], order)
 
     # -- multiplicative structure -------------------------------------------
 
@@ -155,10 +168,10 @@ class LaurentSeries:
         order = min(self.order + other.low, other.order + self.low)
         # k < order keeps i below self.order and k - i below other.order
         coeffs = [
-            sum(self._at(i) * other._at(k - i) for i in range(self.low, k - other.low + 1))
+            dot((self._at(i), other._at(k - i)) for i in range(self.low, k - other.low + 1))
             for k in range(low, order)
         ]
-        return LaurentSeries(low, coeffs, order)
+        return LaurentSeries._trusted(low, coeffs, order)
 
     __rmul__ = __mul__
 
@@ -174,8 +187,8 @@ class LaurentSeries:
         a = [x * c for x in self.coeffs]
         s = [1]
         for k in range(1, len(a)):
-            s.append(-sum(a[j] * s[k - j] for j in range(1, k + 1)))
-        return LaurentSeries(-self.low, [x * c for x in s], self.order - 2 * self.low)
+            s.append(-dot((a[j], s[k - j]) for j in range(1, k + 1)))
+        return LaurentSeries._trusted(-self.low, [x * c for x in s], self.order - 2 * self.low)
 
     def power(self, k: int) -> "LaurentSeries":
         """Integer power by binary squaring; power(f, 0) is 1 on the window
@@ -191,7 +204,7 @@ class LaurentSeries:
     __pow__ = power
 
     def derivative(self) -> "LaurentSeries":
-        return LaurentSeries(
+        return LaurentSeries._trusted(
             self.low - 1,
             [c * k for k, c in enumerate(self.coeffs, start=self.low)],
             self.order - 1,
@@ -203,7 +216,7 @@ class LaurentSeries:
         order = min(self.order, other.order)
         if order <= low:
             raise ValueError("hadamard windows do not overlap")
-        return LaurentSeries(
+        return LaurentSeries._trusted(
             low, [self._at(k) * other._at(k) for k in range(low, order)], order
         )
 

@@ -1,5 +1,6 @@
 """Ring, substitution and rendering checks for the polynomial core."""
 
+import operator
 import pickle
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nckit
+from nckit.cumulants import cumulants_from_moments, moments_from_cumulants
 from nckit.poly import (
     CUMULANT,
     DELTA,
@@ -20,16 +22,19 @@ from nckit.poly import (
     as_fraction,
     cumulant,
     delta,
+    dot,
     moment,
     poly_product,
     poly_sum,
     shift_sum,
     variable_key,
 )
+from nckit.series import standard_series
 
 D1, D2 = delta(1), delta(2)
 M1, M2, M3 = moment(1), moment(2), moment(3)
 C1, C2 = cumulant(1), cumulant(2)
+M1_POLY = Polynomial.from_variable(M1)
 
 
 def P(text):
@@ -79,6 +84,20 @@ def test_zero_and_constants():
             Polynomial.constant(bad)
         with pytest.raises(TypeError):
             Polynomial.from_variable(M1).evaluate({M1: bad})
+
+
+def test_bools_are_not_scalars():
+    p = Polynomial.one()
+    # equality with a bool is not defined, as with any other foreign type
+    assert p.__eq__(True) is NotImplemented
+    assert (p == True) is False and (p != True) is True  # noqa: E712
+    assert (Polynomial.zero() == False) is False  # noqa: E712
+    assert (p == 1.5) is False
+    # arithmetic with a bool still raises
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((p, True), (True, p), (p, False)):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 def test_cancellation_normalizes():
@@ -234,6 +253,57 @@ def test_grlex_tie_break_uses_largest_variable():
     assert p.render() == "1*M1*M2 + 1*M1^2"
 
 
+def oracle_mono_key(m) -> tuple:
+    """Graded lex: total degree first, then exponents scanned from the largest variable down."""
+    return sum(e for _, e in m), m[::-1]
+
+
+def oracle_render(p) -> str:
+    """render() by sorting unpacked (Variable, exponent) tuples."""
+    if p.is_zero:
+        return "0"
+    terms = sorted(p.items(), key=lambda t: oracle_mono_key(t[0]), reverse=True)
+    pieces = []
+    for k, (mono, coeff) in enumerate(terms):
+        body = "*".join(
+            [str(abs(coeff))] + [f"{v.symbol()}^{e}" if e > 1 else v.symbol() for v, e in mono]
+        )
+        sign = ("" if k == 0 else " + ") if coeff > 0 else ("-" if k == 0 else " - ")
+        pieces.append(sign + body)
+    return "".join(pieces)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials, wide_terms)
+def test_render_matches_the_tuple_sort(p, t):
+    assert p.render() == oracle_render(p)
+    q = Polynomial(t)
+    assert q.render() == oracle_render(q)
+    assert (p * q).render() == oracle_render(p * q)
+
+
+def test_render_of_tables_matches_the_tuple_sort():
+    for table in (
+        cumulants_from_moments(7),
+        moments_from_cumulants(9),
+        cumulants_from_moments(12, "lagrange"),
+    ):
+        for entry in table.entries:
+            assert entry.render() == oracle_render(entry)
+
+
+def test_render_does_not_depend_on_slot_order():
+    # fresh variables touched in descending variable order get ascending slots
+    c, m, d = cumulant(9003), moment(9002), delta(9001)
+    assert variable_key(c) < variable_key(m) < variable_key(d)
+    x, y, z = (Polynomial.from_variable(v) for v in (c, m, d))
+    p = z * x + y ** 2 + x + y + z + x * Polynomial.from_variable(M1) ** 3 + 1
+    expected = (
+        "1*M1^3*C9003 + 1*d9001*C9003 + 1*M9002^2 + 1*C9003 + 1*M9002 + 1*d9001 + 1"
+    )
+    assert p.render() == oracle_render(p) == expected
+
+
 def test_parse_rejects_junk():
     for bad in [
         "", "M1 +", "1*e3", "1*M0", "x", "1**M1", "- ", "1/0*M1",
@@ -302,6 +372,89 @@ def test_shift_sum_guards_every_exponent():
         shift_sum([(variable_key(M1), top)])
     with pytest.raises(OverflowError):
         shift_sum([(variable_key(M1) * 2**30, P("1*M1^1073741824"))])
+
+
+def assert_canonical_scalar(x):
+    assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), x
+
+
+operands = st.one_of(st.integers(-4, 4), rationals, polynomials)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(operands, operands), max_size=5))
+def test_dot_is_a_sum_of_products(pairs):
+    result = dot(pairs)
+    assert result == poly_sum(a * b for a, b in pairs)
+    if any(isinstance(x, Polynomial) for pair in pairs for x in pair):
+        assert isinstance(result, Polynomial)
+        assert_canonical(result)
+    else:
+        assert not isinstance(result, Polynomial)
+        assert_canonical_scalar(result)
+
+
+def test_dot_edge_cases():
+    assert dot([]) == 0 and type(dot([])) is int
+    assert dot([(Fraction(1, 2), 4), (Fraction(3, 2), Fraction(1, 3))]) == Fraction(5, 2)
+    assert type(dot([(Fraction(1, 2), 4), (Fraction(1, 3), 3)])) is int
+    # the scalar part of a mixed sum joins the constant term
+    whole = dot([(Fraction(1, 2), 1), (Polynomial.constant(Fraction(1, 2)), 1)])
+    assert whole == 1
+    assert_canonical(whole)
+    assert dot([(M1_POLY, 2), (-2, M1_POLY)]) == Polynomial.zero()
+    top = P("1*M1^2147483647")
+    with pytest.raises(OverflowError):
+        dot([(1, P("1*M2")), (top, M1_POLY)])
+    with pytest.raises(OverflowError):
+        dot([(M1_POLY, top)])
+
+
+def test_scalar_factors_are_exact_rationals():
+    p = P("2*M1 + 1/2")
+    assert p * 4 == P("8*M1 + 2") == 4 * p
+    assert p * Fraction(1, 2) == P("1*M1 + 1/4")
+    assert p * Fraction(6, 3) == P("4*M1 + 1")
+    assert p * 0 == Polynomial.zero()
+    for bad in (True, False, 0.5, None):
+        with pytest.raises(TypeError):
+            p * bad
+        with pytest.raises(TypeError):
+            bad * p
+        with pytest.raises(TypeError):
+            dot([(p, bad)])
+        with pytest.raises(TypeError):
+            dot([(bad, p)])
+        with pytest.raises(TypeError):
+            dot([(bad, 2)])
+
+
+def test_series_products_make_one_dict_per_coefficient(monkeypatch):
+    m = standard_series("M", 10)
+    add, radd, calls = Polynomial.__add__, Polynomial.__radd__, []
+    monkeypatch.setattr(Polynomial, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    monkeypatch.setattr(Polynomial, "__radd__", lambda a, b: calls.append(1) or radd(a, b))
+    square = m * m
+    assert calls == []
+    assert square.coeff(2) == 1
+    assert square.coeff(4) == P("1*M1^2 + 2*M2")
+
+
+def test_integral_scaling_builds_no_fraction(monkeypatch):
+    k = 9
+    entry = cumulants_from_moments(k, "lagrange").entries[-1]
+    residue = entry * (k - 1)
+    assert all(type(c) is int for _, c in residue.items())
+    scale = Fraction(1, k - 1)
+    built = []
+    for name in ("__new__", "__mul__", "__rmul__"):
+        original = getattr(Fraction, name)
+        wrap = (lambda f: lambda *args, **kw: built.append(1) or f(*args, **kw))(original)
+        monkeypatch.setattr(Fraction, name, staticmethod(wrap) if name == "__new__" else wrap)
+    scaled = residue * scale
+    monkeypatch.undo()
+    assert built == []
+    assert scaled == entry
 
 
 # -- canonical coefficient form ----------------------------------------------

@@ -68,6 +68,40 @@ def test_constructor_validation():
     assert LaurentSeries(0, [delta(1)]).coeff(0) == Polynomial.from_variable(delta(1))
 
 
+def test_constructor_messages():
+    with pytest.raises(ValueError, match=r"^window \[0, 5\) needs 5 coefficients, got 2$"):
+        LaurentSeries(0, [1, 2], order=5)
+    with pytest.raises(ValueError, match=r"^empty window \[3, 3\)$"):
+        LaurentSeries(3, [], order=3)
+    with pytest.raises(
+        TypeError, match=r"^series coefficients must be polynomials or rationals, got 1\.5$"
+    ):
+        LaurentSeries(0, [1.5])
+    with pytest.raises(
+        TypeError, match=r"^series coefficients must be polynomials or rationals, got True$"
+    ):
+        LaurentSeries(0, [1, 2]).scale(True)
+
+
+def test_operations_do_not_revalidate_coefficients(monkeypatch):
+    import nckit.series as series
+
+    f = standard_series("M", 8)
+    g = series_of(0, 0, 2, F(1, 3), delta(1))
+    check, calls = series._as_coefficient, []
+    monkeypatch.setattr(series, "_as_coefficient", lambda c: calls.append(c) or check(c))
+    results = [
+        f * g, f + g, f - g, f.recip(), f.shift(2), f.truncate(4), f.truncate(1),
+        f.derivative(), f.hadamard(g), f ** 3,
+    ]
+    assert calls == [-1]  # f - g scales g by -1: the factor is checked, no coefficient
+    assert f.scale(2).coeffs == tuple(2 * c for c in f.coeffs)
+    assert calls == [-1, 2]
+    # the leading-zero strip still runs on every result
+    assert g.low == 1 and (g - g).low == 3
+    assert [r.low for r in results] == [2, 1, 1, -1, 3, 1, 0, 0, 1, 3]
+
+
 def test_rational_series_build_no_polynomials(monkeypatch):
     f = LaurentSeries(1, [F(2), -1, F(1, 3), 5, 0, F(-7, 2), 1, 2, F(1, 5), -3, 4])
     assert f.order == 12

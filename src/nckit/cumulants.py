@@ -50,6 +50,7 @@ from itertools import accumulate, combinations
 from .ncpart import (
     NoncrossingPartition,
     _delta_key,
+    _require_standard_ground,
     _zeta_keys,
     coarsest,
     enumerate_nc,
@@ -444,9 +445,9 @@ def cumulants_from_moments(n: int, method: str = DEFAULT_METHOD) -> TransformTab
 def mu_column_via_trees(p: NoncrossingPartition) -> Polynomial:
     """Signed weighted count of prime trees mapping to the given partition.
 
-    Matches the top-column entry of the inverse matrix at the partition.
+    Matches the top-column entry of the inverse matrix at the partition (ground 1..n).
     """
-    return dict(_tree_column(p.size)).get(p, Polynomial.zero())
+    return dict(_tree_column(_require_standard_ground(p))).get(p, Polynomial.zero())
 
 
 # -- specializations ---------------------------------------------------------

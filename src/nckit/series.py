@@ -12,7 +12,7 @@ Window rules (f with window [lf, of), g with [lg, og)):
     mul       [lf + lg,     min(of + lg, og + lf))
     hadamard  [max(lf, lg), min(of, og))
     recip     [-lf,          of - 2*lf)
-    compose   order = min(of * lg, og + (max(lf, 1) - 1) * lg)
+    compose   [lf * lg,     min(of * lg, og + (max(lf, 1) - 1) * lg))
 
 Coefficients are kept as they arrive: ints and Fractions stay scalars and
 Polynomials stay as they are (a Variable becomes a Polynomial); anything else
@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import (
-    Polynomial, Variable, as_polynomial, cumulant, delta, dot, moment, power_by_squaring,
+    Polynomial, Variable, _coefficient, as_polynomial, cumulant, delta, dot, moment,
+    power_by_squaring,
 )
 
 
@@ -223,6 +224,7 @@ class LaurentSeries:
     # -- composition --------------------------------------------------------
 
     def compose(self, inner: "LaurentSeries") -> "LaurentSeries":
+        """self(inner): each coefficient is one `dot` over the pairs (c_k, inner^k)."""
         if inner.low < 1:
             raise PositiveValuationRequired(
                 f"inner series has valuation {inner.low}, need >= 1"
@@ -233,21 +235,13 @@ class LaurentSeries:
             )
         k0 = max(self.low, 1)
         target = min(self.order * inner.low, inner.order + (k0 - 1) * inner.low)
-        result = zero_series(target)
-        pw = None
-        for k in range(self.low, self.order):
-            c = self.coeffs[k - self.low]
-            if k == 0:
-                if c:
-                    result = result + constant_series(c, target)
-                continue
-            if pw is None:
-                pw = (inner ** k).truncate(target)
-            else:
-                pw = (pw * inner).truncate(target)
-            if c:
-                result = result + pw.scale(c)
-        return result
+        powers = [constant_series(1, target), inner.truncate(target)]  # powers[k] = inner^k
+        for _ in range(2, self.order):
+            powers.append((powers[-1] * inner).truncate(target))
+        terms = [(c, pw) for c, pw in zip(self.coeffs, powers[self.low:]) if c]
+        low = self.low * inner.low
+        coeffs = [dot((c, pw._at(k)) for c, pw in terms) for k in range(low, target)]
+        return LaurentSeries._trusted(low, coeffs, target)
 
     def comp_inverse(self) -> "LaurentSeries":
         """Compositional inverse of a series z*c + O(z^2) with c a nonzero rational."""
@@ -271,8 +265,7 @@ class LaurentSeries:
             raise NonUnitLeadingCoefficient(
                 f"{which} coefficient {lead.render()} is not a rational unit"
             )
-        c = Fraction(1) / q
-        return q, c.numerator if c.denominator == 1 else c
+        return q, _coefficient(Fraction(1) / q)
 
 
 def _as_coefficient(c):

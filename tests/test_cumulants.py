@@ -41,6 +41,7 @@ from nckit.cumulants import (
     w_rho_via_arrangements,
 )
 from nckit.ncpart import (
+    GroundMismatch,
     NoncrossingPartition,
     coarsest,
     enumerate_nc,
@@ -48,6 +49,7 @@ from nckit.ncpart import (
     kreweras,
     kreweras_inv,
     leq,
+    standardize,
     weight,
     zeta,
     zeta_arc_form,
@@ -318,6 +320,14 @@ def test_tree_column_matches_matrix_column():
 def test_tree_column_examples():
     assert mu_column_via_trees(coarsest(4)) == 1
     assert mu_column_via_trees(finest(2)) == -1
+
+
+def test_tree_column_needs_the_standard_ground():
+    shifted = NoncrossingPartition([(2, 3), (5,)])
+    assert mu_column_via_trees(standardize(shifted)) == -1
+    for f in (mu_column_via_trees, w_rho):
+        with pytest.raises(GroundMismatch):
+            f(shifted)
 
 
 def test_v_pi_top_value():

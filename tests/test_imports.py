@@ -1,9 +1,14 @@
-"""Import lint: no module of ``nckit`` imports a name it never uses.
+"""Lints over the ``nckit`` sources: no unused import, and no orphaned helper.
 
-Every module except ``__init__.py``, whose imports are the package's public
-re-exports, is parsed with ``ast``.  A name bound by an import counts as used
-when it is read as a name anywhere in the module, appears inside a string
-annotation, or is listed in ``__all__``.
+Import lint: every module except ``__init__.py``, whose imports are the
+package's public re-exports, is parsed with ``ast``.  A name bound by an import
+counts as used when it is read as a name anywhere in the module, appears inside
+a string annotation, or is listed in ``__all__``.
+
+Dead-helper lint: every private (``_``-prefixed, not dunder) module-level
+function or class, and every private method of a module-level class, must be
+referenced somewhere in the package outside its own definition: as a name, an
+attribute or an imported name.
 """
 
 import ast
@@ -13,9 +18,9 @@ import pytest
 
 import nckit
 
-SOURCES = sorted(
-    p for p in Path(nckit.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(Path(nckit.__file__).parent.glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _annotation_names(node) -> set[str]:
@@ -70,3 +75,72 @@ def test_import_lint_catches_each_unused_name():
         "    return os.sep\n"
     )
     assert unused_imports(bad) == ["3: osp", "4: Fraction", "5: poly_sum"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _references(node, inside: frozenset = frozenset()) -> set[str]:
+    """Names read under node, leaving out those read inside a definition of the
+    same name, so that a helper calling only itself stays unreferenced."""
+    if isinstance(node, DEFINITIONS):
+        inside = inside | {node.name}
+    names = set()
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    elif isinstance(node, ast.alias):
+        names.add(node.name)
+    names -= inside
+    for child in ast.iter_child_nodes(node):
+        names |= _references(child, inside)
+    return names
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """One "file:line: name" string per private helper the package never references."""
+    helpers, used = [], set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        used |= _references(tree)
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS) and _is_private(node.name):
+                helpers.append((file, node.lineno, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                helpers += [
+                    (file, item.lineno, f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, DEFINITIONS) and _is_private(item.name)
+                ]
+    return [f"{file}:{line}: {label}" for file, line, label, name in helpers if name not in used]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert dead_helpers(sources) == []
+
+
+def test_dead_helper_lint_catches_each_orphan():
+    a = (
+        "def _used():\n"
+        "    return 1\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else 0\n"
+        "class _Lonely:\n"
+        "    pass\n"
+        "def _shared():\n"
+        "    return 2\n"
+        "class Box:\n"
+        "    def _helper(self):\n"
+        "        return 3\n"
+        "    def _called(self):\n"
+        "        return _used()\n"
+        "    def __len__(self):\n"
+        "        return self._called()\n"
+    )
+    b = "from .a import _shared\n\ndef public():\n    return _shared()\n"
+    assert dead_helpers({"a.py": a, "b.py": b}) == [
+        "a.py:3: _recursive", "a.py:5: _Lonely", "a.py:10: Box._helper",
+    ]

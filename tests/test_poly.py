@@ -440,6 +440,18 @@ def test_series_products_make_one_dict_per_coefficient(monkeypatch):
     assert square.coeff(4) == P("1*M1^2 + 2*M2")
 
 
+def test_poly_sum_makes_no_polynomial_additions(monkeypatch):
+    terms = [P(f"{k}*M1^{k} + 1/2*C2") for k in range(1, 19)] + [3, M2]
+    add, radd, calls = Polynomial.__add__, Polynomial.__radd__, []
+    monkeypatch.setattr(Polynomial, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    monkeypatch.setattr(Polynomial, "__radd__", lambda a, b: calls.append(1) or radd(a, b))
+    total = poly_sum(terms)
+    assert calls == []
+    expected = {((M1, k),): k for k in range(1, 19)}
+    expected.update({((C2, 1),): 9, ((M2, 1),): 1, (): 3})
+    check(total, expected)
+
+
 def test_integral_scaling_builds_no_fraction(monkeypatch):
     k = 9
     entry = cumulants_from_moments(k, "lagrange").entries[-1]
@@ -578,6 +590,14 @@ def test_integral_values_are_stored_as_ints():
     check(Polynomial({(): Fraction(-6, 3), ((C1, 1),): Fraction(3, 6)}),
           {(): -2, ((C1, 1),): Fraction(1, 2)})
     check(P("4/2*M1 + 1/2*M2 + 1/2*M2"), {((M1, 1),): 2, ((M2, 1),): 1})
+    # zero, repeated and integral-Fraction inputs to the constructor and to parse
+    check(Polynomial({(): Fraction(4, 2), ((M1, 1),): 0}), {(): 2})
+    check(Polynomial({((M1, 1), (M1, 1)): Fraction(1, 2), ((M1, 2),): Fraction(3, 2),
+                      ((C1, 1),): Fraction(0, 5)}), {((M1, 2),): 2})
+    check(Polynomial({((M1, 1), (C1, 1)): 1, ((C1, 1), (M1, 1)): -1}), {})
+    check(P("1*M1 + 1/3*C2 - 1*M1 + 2/3*C2"), {((C2, 1),): 1})
+    check(P("1*M1*M1 + 1*M1^2 - 1/2*d1 - 3/2*d1"), {((M1, 2),): 2, ((D1, 1),): -2})
+    check(P("1/2*d1 - 1/2*d1"), {})
 
 
 def test_public_values_are_fractions():

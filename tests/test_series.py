@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nckit.poly import Polynomial, delta, moment
 from nckit.series import (
@@ -294,6 +294,57 @@ def test_compose_order_rule():
     h2 = f2.compose(g)
     assert h2.order == min(5 * 2, 4 + 2 * 2)
     assert h2.low == 6
+
+
+def compose_by_series_sums(f, g):
+    """f(g) as the sum of c_k * g^k from the zero series, one series + per term,
+    each power g^k made on its own by `**`."""
+    k0 = max(f.low, 1)
+    target = min(f.order * g.low, g.order + (k0 - 1) * g.low)
+    result = zero_series(target)
+    for k, c in enumerate(f.coeffs, start=f.low):
+        if c:
+            pw = constant_series(1, target) if k == 0 else (g ** k).truncate(target)
+            result = result + pw.scale(c)
+    return result
+
+
+composable_coeffs = st.one_of(
+    st.just(0),
+    small_fractions,
+    st.builds(
+        lambda v, a, b: Polynomial.from_variable(v) * a + b,
+        st.sampled_from([delta(1), moment(2)]),
+        small_fractions,
+        st.integers(-2, 2),
+    ),
+)
+
+
+D1 = Polynomial.from_variable(delta(1))
+INNER = [1, F(1, 2), D1, -3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2]),
+    st.lists(composable_coeffs, min_size=1, max_size=6),
+    st.integers(1, 2),
+    st.lists(composable_coeffs, min_size=1, max_size=6),
+)
+@example(0, [5], 1, INNER)  # a constant outer series
+@example(0, [D1, 0, 0, 1], 1, INNER)  # zero coefficients
+@example(2, [0, 0, 7], 2, [1, D1])
+@example(1, [0, 0, 0], 1, INNER)  # the zero outer series
+@example(0, [1, 2, 3], 1, [0, 0])  # the zero inner series
+@example(0, [1] * 7, 1, [1] * 7)  # every term nonzero
+def test_compose_matches_series_sums(outer_low, outer, inner_low, inner):
+    f, g = LaurentSeries(outer_low, outer), LaurentSeries(inner_low, inner)
+    h, expected = f.compose(g), compose_by_series_sums(f, g)
+    assert (h.low, h.order) == (expected.low, expected.order)
+    assert [h.coeff(k) for k in range(h.low, h.order)] == [
+        expected.coeff(k) for k in range(h.low, h.order)
+    ]
 
 
 def test_comp_inverse_catalan():

@@ -447,6 +447,57 @@ def test_convert_does_not_echo_an_overlong_token(capsys):
     assert "digits" in err
 
 
+_CAP_HINT = "(raise NCKIT_MAX_N or pass --unsafe-no-cap)"
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        (None, "enumerate nc --n 11", f"n=11 exceeds the cap 10 for 'nc' {_CAP_HINT}"),
+        (None, "enumerate prime --n 9", f"n=9 exceeds the cap 8 for 'prime' {_CAP_HINT}"),
+        ("4", "enumerate nc --n 5", f"n=5 exceeds the cap 4 for 'nc' {_CAP_HINT}"),
+        ("ten", "enumerate nc --n 1", "NCKIT_MAX_N is not an integer: 'ten'"),
+        ("0", "enumerate schroder --n 1", "NCKIT_MAX_N must be >= 1"),
+        (
+            None,
+            "convert --cumulants 1,2 --deltas 1,1 --direction cumulants",
+            "--direction cumulants needs the input sequence via --moments",
+        ),
+        (
+            None,
+            "convert --moments 1 --deltas 1 --direction moments",
+            "--direction moments needs the input sequence via --cumulants",
+        ),
+        (
+            None,
+            "convert --moments 1 --cumulants 1 --deltas 1 --direction cumulants",
+            "--direction cumulants takes only --moments, not both sequences",
+        ),
+        (
+            None,
+            "convert --moments 1,x --deltas 1,1 --direction cumulants",
+            "--moments: not an exact rational: 'x'",
+        ),
+        (
+            None,
+            "convert --cumulants 1 --deltas 1/0 --direction moments",
+            "--deltas: not an exact rational: '1/0'",
+        ),
+        (
+            None,
+            "convert --moments 1,2 --deltas 1 --direction cumulants",
+            "2 sequence values but 1 weight values",
+        ),
+    ],
+)
+def test_usage_error_stderr_is_exact(capsys, monkeypatch, env, argv, message):
+    if env is None:
+        monkeypatch.delenv("NCKIT_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("NCKIT_MAX_N", env)
+    assert run_cli(capsys, *argv.split()) == (2, "", f"nckit: error: {message}\n")
+
+
 # -- verify ------------------------------------------------------------------
 
 def test_verify_passes(capsys):

@@ -11,11 +11,12 @@ Four verbs:
 * ``verify``    -- the invariant suite, one named check per line.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-disagreement between the inverse routes.  Output is deterministic
-byte-for-byte for a fixed invocation.  Enumeration sizes are capped
-(noncrossing kinds 10, tree kinds 8); the ``NCKIT_MAX_N`` environment
-variable (at least 1) overrides both caps and ``--unsafe-no-cap`` removes
-them.
+disagreement between the inverse routes.  ``main`` maps a usage error that a
+verb raises to exit 2 and one ``nckit: error: ...`` line on stderr.  Output
+is deterministic byte-for-byte for a fixed invocation.  Enumeration sizes
+are capped (noncrossing kinds 10, tree kinds 8); the ``NCKIT_MAX_N``
+environment variable (at least 1) overrides both caps and
+``--unsafe-no-cap`` removes them.
 """
 
 from __future__ import annotations
@@ -138,18 +139,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (_UsageError, cm.LengthMismatch) as exc:
+        print(f"nckit: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:
     if hasattr(signal, "SIGPIPE"):  # a closed output pipe ends the command quietly
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
-
-
-def _usage_error(message: str) -> int:
-    print(f"nckit: error: {message}", file=sys.stderr)
-    return 2
 
 
 def _compact(obj) -> str:
@@ -174,12 +174,9 @@ def _resolve_cap(kind: str, no_cap: bool) -> int | None:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        cap = _resolve_cap(args.kind, args.unsafe_no_cap)
-    except _UsageError as exc:
-        return _usage_error(str(exc))
+    cap = _resolve_cap(args.kind, args.unsafe_no_cap)
     if cap is not None and args.n > cap:
-        return _usage_error(
+        raise _UsageError(
             f"n={args.n} exceeds the cap {cap} for {args.kind!r}"
             " (raise NCKIT_MAX_N or pass --unsafe-no-cap)"
         )
@@ -283,26 +280,20 @@ def _cmd_convert(args) -> int:
     given = args.moments if args.direction == "cumulants" else args.cumulants
     other = args.cumulants if args.direction == "cumulants" else args.moments
     if given is None:
-        return _usage_error(
+        raise _UsageError(
             f"--direction {args.direction} needs the input sequence via {wanted}"
         )
     if other is not None:
-        return _usage_error(
+        raise _UsageError(
             f"--direction {args.direction} takes only {wanted}, not both sequences"
         )
-    try:
-        values = _parse_rationals(given, wanted)
-        deltas = _parse_rationals(args.deltas, "--deltas")
-    except _UsageError as exc:
-        return _usage_error(str(exc))
-    try:
-        result = cm.numeric_convert(values, deltas, args.direction)
-    except cm.LengthMismatch as exc:
-        return _usage_error(str(exc))
+    values = _parse_rationals(given, wanted)
+    deltas = _parse_rationals(args.deltas, "--deltas")
+    result = cm.numeric_convert(values, deltas, args.direction)
     try:
         print(",".join(str(x) for x in result))
     except ValueError:  # past the interpreter's int-to-string digit limit
-        return _usage_error("a result has too many digits to print")
+        raise _UsageError("a result has too many digits to print")
     return 0
 
 

@@ -68,12 +68,11 @@ from .poly import (
     delta,
     dot,
     moment,
-    poly_product,
     poly_sum,
     shift_sum,
     variable_key,
 )
-from .series import monomial_series, standard_series
+from .series import standard_series
 from .trees import (
     Arrangement,
     cover_counts,
@@ -247,13 +246,18 @@ def _linear_extension(n: int) -> tuple:
 
 # -- forward direction -------------------------------------------------------
 
+def _block_key(p: NoncrossingPartition, family=moment) -> int:
+    """The packed key of product_moment (or, by family, product_cumulant)."""
+    return sum(variable_key(family(len(b))) for b in p.blocks)
+
+
 def product_moment(p: NoncrossingPartition) -> Polynomial:
     """Product of one moment variable per block, indexed by block size."""
-    return poly_product(moment(len(b)) for b in p.blocks)
+    return Polynomial._raw({_block_key(p): 1})
 
 
 def product_cumulant(p: NoncrossingPartition) -> Polynomial:
-    return poly_product(cumulant(len(b)) for b in p.blocks)
+    return Polynomial._raw({_block_key(p, cumulant): 1})
 
 
 def _first_block(seq, deltas, inverse: bool, one) -> list:
@@ -325,7 +329,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-@lru_cache(maxsize=None)
 def _mu_top_column(n: int) -> tuple:
     """Pairs (partition, inverse-matrix entry against the full partition).
 
@@ -391,10 +394,7 @@ def _tree_column(n: int) -> tuple:
 def _column_entry(column, k: int) -> Polynomial:
     """Entry k of a column route: the column of size k against moment
     products, each value shifted by the key of its partition's product."""
-    return shift_sum(
-        (sum(variable_key(moment(len(b))) for b in p.blocks), val)
-        for p, val in column(k)
-    )
+    return shift_sum((_block_key(p), val) for p, val in column(k))
 
 
 def _column_entries(column):
@@ -405,18 +405,17 @@ def _column_entries(column):
 def _lagrange_entries(n: int) -> tuple:
     """C_k = 1/(k-1) [z^-1] (M'/M^2 - z^-2) * h^(k-1) with h = 1/(M⊙Δ), k >= 2.
 
-    One pass with a running power of h; each residue is one convolution.  The
-    last entry reads h^(n-1) only up to z^-1, so h^k keeps only the exponents
-    below n - k.
+    One pass with a running power of h; each residue is one convolution, from
+    z^-1 on, since M'/M^2 = 1*z^-2 + O(1).  The last entry reads h^(n-1) only
+    up to z^-1, so h^k keeps only the exponents below n - k.
     """
     m = standard_series("M", n + 2)
     inv = m.recip()
     main = m.derivative() * (inv * inv)
-    base = main - monomial_series(-2, 1, main.order)
     h = m.hadamard(standard_series("Delta", n + 2)).recip()
     entries, pw = [Polynomial.from_variable(moment(1))], h
     for k in range(2, n + 1):
-        residue = dot((base._at(i), pw._at(-1 - i)) for i in range(base.low, -pw.low))
+        residue = dot((main._at(i), pw._at(-1 - i)) for i in range(-1, -pw.low))
         entries.append(residue * Fraction(1, k - 1))
         pw = (pw * h).truncate(n - k)
     return tuple(entries)
@@ -516,7 +515,8 @@ def w_rho_via_arrangements(rho: NoncrossingPartition) -> Polynomial:
 
 
 def _pairing_context(a: Arrangement, rho: NoncrossingPartition):
-    """Validate the pairing preconditions; return (dual partition, base block)."""
+    """Validate the pairing preconditions; return the base block and the
+    indices of the components of a that hold its two ends."""
     n = rho.size
     if a.size != n:
         raise PreconditionViolated(
@@ -530,7 +530,11 @@ def _pairing_context(a: Arrangement, rho: NoncrossingPartition):
             "arrangement partition is not below the dual of rho"
         )
     base = next(b for b in dual.blocks if len(b) >= 2)
-    return dual, base
+    i, j = (
+        next(k for k, (pos, _) in enumerate(a.components) if x in pos)
+        for x in (base[0], base[-1])
+    )
+    return base, i, j
 
 
 def psi(a: Arrangement, rho: NoncrossingPartition) -> Arrangement:
@@ -541,23 +545,16 @@ def psi(a: Arrangement, rho: NoncrossingPartition) -> Arrangement:
     root is removed (split); otherwise their two components are merged under
     a new root.  Involutive, fixed-point free, and weight-compatible.
     """
-    _, base = _pairing_context(a, rho)
-    lo, hi = base[0], base[-1]
+    _, i, j = _pairing_context(a, rho)
     comps = list(a.components)
-    part = partition_of(a)
-    if part.block_of(lo) == part.block_of(hi):
-        i = next(idx for idx, (pos, _) in enumerate(comps) if lo in pos)
+    if i == j:
         pos, shape = comps.pop(i)
         cut = n_leaves(shape[0])
         comps.append((pos[:cut], shape[0]))
         comps.append((pos[cut:], shape[1]))
-    else:
-        i = next(idx for idx, (pos, _) in enumerate(comps) if lo in pos)
-        j = next(idx for idx, (pos, _) in enumerate(comps) if hi in pos)
-        pos_i, shape_i = comps[i]
-        pos_j, shape_j = comps[j]
-        for idx in sorted((i, j), reverse=True):
-            comps.pop(idx)
+    else:  # i < j: both lie in the base block, and component i starts it
+        pos_j, shape_j = comps.pop(j)
+        pos_i, shape_i = comps.pop(i)
         comps.append((pos_i + pos_j, (shape_i, shape_j)))
     return Arrangement._trusted(comps)
 
@@ -569,14 +566,12 @@ def verify_cover_identity(a: Arrangement, rho: NoncrossingPartition) -> bool:
     Only defined in the split case; when the base block contains dot 1 both
     weights are untouched and the identity holds vacuously.
     """
-    _, base = _pairing_context(a, rho)
-    lo, hi = base[0], base[-1]
-    part = partition_of(a)
-    if part.block_of(lo) != part.block_of(hi):
+    base, i, j = _pairing_context(a, rho)
+    if i != j:
         raise PreconditionViolated("cover identity concerns the split case only")
     if 1 in base:
         return True
-    pos, _ = next(c for c in a.components if lo in c[0])
+    pos, _ = a.components[i]
     cov = cover_counts(a)[(pos[0], pos[-1])]
     hull = range(base[0], base[-1] + 1)
     split_restricted = restrict(partition_of(psi(a, rho)), hull)

@@ -61,7 +61,7 @@ class NoncrossingPartition:
             if not b:
                 raise NotAPartition("empty block")
             for x in b:
-                if not isinstance(x, int):
+                if not isinstance(x, int) or isinstance(x, bool):
                     raise NotAPartition(f"element {x!r} is not an integer")
                 if x in seen:
                     raise NotAPartition(f"element {x} appears in two blocks")

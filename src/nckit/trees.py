@@ -59,7 +59,7 @@ def tree_to_json(t: Tree):
 
 
 def tree_from_json(obj) -> Tree:
-    if obj == 0:
+    if type(obj) is int and obj == 0:  # not False, 0.0 or Fraction(0)
         return LEAF
     if isinstance(obj, list) and len(obj) >= 2:
         return tuple(tree_from_json(c) for c in obj)

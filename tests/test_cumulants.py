@@ -144,6 +144,15 @@ def lagrange_entry(k):
     return ratio.coeff(-1) * Fraction(1, k - 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 14])
+def test_lagrange_main_series_starts_with_one_z_to_the_minus_2(n):
+    # the one pass sums its residues from z^-1 on, dropping exactly this term
+    m = standard_series("M", n + 2)
+    main = m.derivative() * m.recip() ** 2
+    assert main.low == -2
+    assert main._at(-2) == 1
+
+
 def test_lagrange_one_pass_matches_per_entry_formula():
     oracle = tuple(lagrange_entry(k) for k in range(1, 11))
     for n in range(1, 11):

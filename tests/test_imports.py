@@ -6,9 +6,9 @@ counts as used when it is read as a name anywhere in the module, appears inside
 a string annotation, or is listed in ``__all__``.
 
 Dead-helper lint: every private (``_``-prefixed, not dunder) module-level
-function or class, and every private method of a module-level class, must be
-referenced somewhere in the package outside its own definition: as a name, an
-attribute or an imported name.
+function, class or name bound by assignment, and every private method of a
+module-level class, must be referenced somewhere in the package outside its
+own definition: as a name read, an attribute or an imported name.
 """
 
 import ast
@@ -83,11 +83,12 @@ def _is_private(name: str) -> bool:
 
 def _references(node, inside: frozenset = frozenset()) -> set[str]:
     """Names read under node, leaving out those read inside a definition of the
-    same name, so that a helper calling only itself stays unreferenced."""
+    same name, so that a helper calling only itself stays unreferenced.  A name
+    that is only assigned to is not read."""
     if isinstance(node, DEFINITIONS):
         inside = inside | {node.name}
     names = set()
-    if isinstance(node, ast.Name):
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
         names.add(node.id)
     elif isinstance(node, ast.Attribute):
         names.add(node.attr)
@@ -108,6 +109,13 @@ def dead_helpers(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, DEFINITIONS) and _is_private(node.name):
                 helpers.append((file, node.lineno, node.name, node.name))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                helpers += [
+                    (file, node.lineno, t.id, t.id)
+                    for t in targets
+                    if isinstance(t, ast.Name) and _is_private(t.id)
+                ]
             if isinstance(node, ast.ClassDef):
                 helpers += [
                     (file, item.lineno, f"{node.name}.{item.name}", item.name)
@@ -124,6 +132,7 @@ def test_every_private_helper_is_referenced():
 
 def test_dead_helper_lint_catches_each_orphan():
     a = (
+        "_TABLE = {}\n"
         "def _used():\n"
         "    return 1\n"
         "def _recursive(n):\n"
@@ -139,8 +148,11 @@ def test_dead_helper_lint_catches_each_orphan():
         "        return _used()\n"
         "    def __len__(self):\n"
         "        return self._called()\n"
+        "_LIMIT: int = 3\n"
+        "_ORPHAN = _LIMIT + 1\n"
     )
-    b = "from .a import _shared\n\ndef public():\n    return _shared()\n"
+    b = "from .a import _shared, _TABLE\n\ndef public():\n    return _shared()\n"
     assert dead_helpers({"a.py": a, "b.py": b}) == [
-        "a.py:3: _recursive", "a.py:5: _Lonely", "a.py:10: Box._helper",
+        "a.py:4: _recursive", "a.py:6: _Lonely", "a.py:11: Box._helper",
+        "a.py:18: _ORPHAN",
     ]

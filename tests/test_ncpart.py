@@ -60,6 +60,13 @@ def test_constructor_rejects_bad_input():
         NoncrossingPartition([[1, 2]], ground=[1, 2, 3])
 
 
+def test_constructor_rejects_bool_elements():
+    # True == 1 and hashes alike, so it would pass for the element 1
+    for blocks in ([(True, 2)], [(1,), (False,)], [(2, 3), (True,)]):
+        with pytest.raises(NotAPartition):
+            NoncrossingPartition(blocks)
+
+
 def test_parse_render_round_trip():
     for text in ["146|23|5", "1", "12|3|49A|58|6|7", "78AB|9"]:
         assert NC(text).render() == text

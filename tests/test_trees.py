@@ -1,5 +1,7 @@
 """Tests for plane trees, their partition map, and noncrossing arrangements."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -84,6 +86,15 @@ def test_tree_json_rejects_bad_encodings():
         tree_from_json("leaf")
     with pytest.raises(ValueError):
         tree_from_json([0, [0]])
+
+
+@pytest.mark.parametrize("zero", [False, 0.0, Fraction(0)])
+def test_tree_json_leaf_is_only_the_int_zero(zero):
+    # each compares equal to 0, but only the int 0 encodes a leaf
+    with pytest.raises(ValueError):
+        tree_from_json(zero)
+    with pytest.raises(ValueError):
+        tree_from_json([zero, 0])
 
 
 # -- enumeration -------------------------------------------------------------
@@ -186,6 +197,8 @@ def test_arrangement_validation():
         Arrangement([((2, 1), CHERRY)])  # unsorted positions
     with pytest.raises(InvalidArrangement):
         Arrangement([((1, 2), CHERRY), ((2, 3), CHERRY)])  # dot reused
+    with pytest.raises(InvalidArrangement):
+        Arrangement([((True, 2), CHERRY)])  # a bool is not a dot
 
 
 def test_arrangement_equality_and_order_independence():

@@ -289,6 +289,30 @@ def test_phi_image_matches_independent_enumeration():
         assert image == set(enumerate_arrangements(n))
 
 
+def cover_counts_from_tree(t):
+    # each non-root vertex u becomes a vertex spanning the leaves under it, and
+    # its len(u) - 2 middle children become the components it covers
+    counts, counter = {}, [0]
+
+    def walk(node):
+        if not node:
+            counter[0] += 1
+            return counter[0], counter[0]
+        spans = [walk(c) for c in node]
+        counts[spans[0][0], spans[-1][1]] = len(node) - 2
+        return spans[0][0], spans[-1][1]
+
+    for child in t[:-1]:
+        walk(child)
+    return counts
+
+
+def test_cover_counts_match_the_tree_side():
+    for n in range(1, 8):
+        for t in enumerate_prime(n):
+            assert cover_counts(phi(t)) == cover_counts_from_tree(t), t
+
+
 def test_phi_inv_produces_prime_trees_of_right_size():
     for n in range(1, 6):
         for a in enumerate_arrangements(n):

@@ -14,7 +14,7 @@ Partitions render as blocks joined by '|' with base-36 element digits, e.g.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .poly import Polynomial, delta, variable_key
@@ -54,27 +54,25 @@ class NoncrossingPartition:
     __slots__ = ("ground", "blocks", "_hash", "_owner", "_masks")
 
     def __init__(self, blocks: Iterable[Iterable[int]], ground: Iterable[int] | None = None):
+        clean = [tuple(sorted(block)) for block in blocks]
+        g = None if ground is None else tuple(sorted(ground))
+        for x in chain(*clean, g or ()):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise NotAPartition(f"element {x!r} is not an integer")
         seen: set[int] = set()
-        clean = []
-        for block in blocks:
-            b = tuple(sorted(block))
+        for b in clean:
             if not b:
                 raise NotAPartition("empty block")
             for x in b:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise NotAPartition(f"element {x!r} is not an integer")
                 if x in seen:
                     raise NotAPartition(f"element {x} appears in two blocks")
                 seen.add(x)
-            clean.append(b)
-        if ground is None:
+        if g is None:
             g = tuple(sorted(seen))
-        else:
-            g = tuple(sorted(ground))
-            if set(g) != seen:
-                raise NotAPartition("blocks do not cover the ground set exactly")
-            if len(g) != len(seen):
-                raise NotAPartition("ground set has repeated elements")
+        elif set(g) != seen:
+            raise NotAPartition("blocks do not cover the ground set exactly")
+        elif len(g) != len(seen):
+            raise NotAPartition("ground set has repeated elements")
         if not is_noncrossing(clean):
             raise NotAPartition("blocks cross")
         self._init_raw(g, tuple(sorted(clean)))

@@ -75,7 +75,7 @@ def cumulant(i: int) -> Variable:
 def _make_var(family: int, index: int) -> Variable:
     if family not in _FAMILY_SYMBOL:
         raise ValueError(f"unknown variable family {family!r}")
-    if not isinstance(index, int) or index < 1:
+    if type(index) is not int or index < 1:
         raise ValueError(f"variable index must be a positive integer, got {index!r}")
     return Variable(family, index)
 

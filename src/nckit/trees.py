@@ -5,8 +5,10 @@ tuple of its children (always at least two).  A tree with n+1 leaves is
 "prime" when the root's last child is a leaf.  Prime trees with n+1 leaves
 map bijectively onto arrangements: noncrossing forests of binary trees whose
 leaves sit on the dots 1..n.  The forward map prunes middle children into
-separate components; the inverse re-attaches every component inside the
-innermost vertex gap that contains it.
+separate components; the inverse re-attaches, as the middle children of each
+vertex, the components lying directly inside its gap, found by one walk from
+left to right: the first starts just after the gap's low dot, each next one
+just after the previous one ends.
 
 Leaf counts follow the little Schroder numbers, prime counts the large ones.
 """
@@ -17,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
-from .ncpart import NoncrossingPartition, _delta_key, enumerate_nc
+from .ncpart import NoncrossingPartition, NotAPartition, _delta_key, enumerate_nc
 from .poly import Polynomial
 
 
@@ -48,7 +50,7 @@ def internal_count(t: Tree) -> int:
 
 
 def is_binary(t: Tree) -> bool:
-    return not t or (len(t) == 2 and is_binary(t[0]) and is_binary(t[1]))
+    return type(t) is tuple and (not t or len(t) == 2 and all(map(is_binary, t)))
 
 
 def tree_to_json(t: Tree):
@@ -188,7 +190,7 @@ class Arrangement:
             raise InvalidArrangement("dots must cover 1..n exactly once")
         try:
             NoncrossingPartition([pos for pos, _ in comps])
-        except Exception as exc:
+        except NotAPartition as exc:
             raise InvalidArrangement(f"components cross: {exc}") from exc
         self._init_raw(tuple(comps))
 
@@ -264,56 +266,40 @@ def _component_vertices(pos: tuple, shape: Tree) -> list[tuple]:
     return out
 
 
-def _attachments(a: Arrangement):
-    """For each component: the span key of the vertex whose gap holds it, or None.
+def _inside(a: Arrangement):
+    """A function listing the components lying directly inside two dots lo < hi.
 
-    A component fits in a vertex gap when its whole dot range lies strictly
-    between the gap bounds; the innermost (narrowest) such gap wins.
+    By noncrossing, the first starts at dot lo + 1 and each next one right
+    after the previous one ends; any deeper component sits inside one of them.
     """
-    gaps = []  # (width, gap_lo, gap_hi, vertex span key)
-    for pos, shape in a.components:
-        for span_min, span_max, gap_lo, gap_hi in _component_vertices(pos, shape):
-            gaps.append((gap_hi - gap_lo, gap_lo, gap_hi, (span_min, span_max)))
-    gaps.sort()
-    owner = []
-    for pos, _ in a.components:
-        lo, hi = pos[0], pos[-1]
-        key = None
-        for _, gap_lo, gap_hi, vertex in gaps:
-            if gap_lo < lo and hi < gap_hi:
-                key = vertex
-                break
-        owner.append(key)
-    return owner
+    starts = {pos[0]: ci for ci, (pos, _) in enumerate(a.components)}
+
+    def inside(lo: int, hi: int) -> list[int]:
+        out = []
+        while lo + 1 < hi:
+            out.append(starts[lo + 1])
+            lo = a.components[out[-1]][0][-1]
+        return out
+
+    return inside
 
 
 def cover_counts(a: Arrangement) -> dict:
     """Map from internal vertex span (min dot, max dot) to covered-component count."""
-    counts = {
-        (span_min, span_max): 0
+    inside = _inside(a)
+    return {
+        (span_min, span_max): len(inside(gap_lo, gap_hi))
         for pos, shape in a.components
-        for span_min, span_max, _, _ in _component_vertices(pos, shape)
+        for span_min, span_max, gap_lo, gap_hi in _component_vertices(pos, shape)
     }
-    for key in _attachments(a):
-        if key is not None:
-            counts[key] += 1
-    return counts
 
 
 def weight_arrangement(a: Arrangement) -> Polynomial:
     """Product of d_{cover(v)+1} over internal vertices off the leftmost branch.
 
-    The leftmost branch consists of the vertices on the path from the root of
-    the dot-1 component to dot 1 itself.
+    The leftmost branch consists of the vertices whose span starts at dot 1.
     """
-    cov = cover_counts(a)
-    first_pos, first_shape = a.components[0]
-    left_path = set()
-    node = first_shape
-    while node:
-        left_path.add((first_pos[0], first_pos[n_leaves(node) - 1]))
-        node = node[0]
-    key = sum(_delta_key(c + 1) for span, c in cov.items() if span not in left_path)
+    key = sum(_delta_key(c + 1) for (lo, _), c in cover_counts(a).items() if lo != 1)
     return Polynomial._raw({key: 1})
 
 
@@ -344,17 +330,10 @@ def phi(t: Tree) -> Arrangement:
 
 
 def phi_inv(a: Arrangement) -> Tree:
-    """Rebuild the prime tree: re-insert every component as a middle child of
-    the vertex whose gap contains it; leftover components hang off a new root,
-    followed by one final leaf."""
-    owner = _attachments(a)
-    children_of: dict[tuple, list[int]] = {}
-    top: list[int] = []
-    for ci, key in enumerate(owner):
-        if key is None:
-            top.append(ci)
-        else:
-            children_of.setdefault(key, []).append(ci)
+    """Rebuild the prime tree: re-insert the components directly inside each
+    vertex gap as that vertex's middle children; the components directly
+    inside dots 0 and n+1 hang off a new root, followed by one final leaf."""
+    inside = _inside(a)
 
     def build(ci: int) -> Tree:
         pos, shape = a.components[ci]
@@ -364,15 +343,13 @@ def phi_inv(a: Arrangement) -> Tree:
                 return LEAF, 1
             left, lcnt = walk(node[0], offset)
             right, rcnt = walk(node[1], offset + lcnt)
-            key = (pos[offset], pos[offset + lcnt + rcnt - 1])
-            mids = [build(cj) for cj in children_of.get(key, [])]
+            mids = [build(cj) for cj in inside(pos[offset + lcnt - 1], pos[offset + lcnt])]
             return (left, *mids, right), lcnt + rcnt
 
         built, _ = walk(shape, 0)
         return built
 
-    # components are sorted by min dot, so the dot-1 component comes first
-    return tuple(build(ci) for ci in top) + (LEAF,)
+    return tuple(build(ci) for ci in inside(0, a.size + 1)) + (LEAF,)
 
 
 @lru_cache(maxsize=None)

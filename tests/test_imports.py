@@ -9,6 +9,10 @@ Dead-helper lint: every private (``_``-prefixed, not dunder) module-level
 function, class or name bound by assignment, and every private method of a
 module-level class, must be referenced somewhere in the package outside its
 own definition: as a name read, an attribute or an imported name.
+
+Broad-handler lint: no module has a bare ``except:`` or a handler that catches
+``Exception`` or ``BaseException``, alone or in a tuple; each handler names the
+errors it expects, so that a fault elsewhere is not reported as one of them.
 """
 
 import ast
@@ -155,4 +159,63 @@ def test_dead_helper_lint_catches_each_orphan():
     assert dead_helpers({"a.py": a, "b.py": b}) == [
         "a.py:4: _recursive", "a.py:6: _Lonely", "a.py:11: Box._helper",
         "a.py:18: _ORPHAN",
+    ]
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers(source: str) -> list[str]:
+    """One "line: handler" string per bare or broad exception handler."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(
+            c is None or getattr(c, "id", getattr(c, "attr", None)) in BROAD
+            for c in caught
+        ):
+            label = "except" if node.type is None else f"except {ast.unparse(node.type)}"
+            found.append(f"{node.lineno}: {label}")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_broad_exception_handler(path):
+    assert broad_handlers(path.read_text(encoding="utf-8")) == []
+
+
+def test_broad_handler_lint_catches_each_form():
+    planted = (
+        "import builtins\n"
+        "def f():\n"
+        "    try:\n"
+        "        return 1\n"
+        "    except:\n"
+        "        pass\n"
+        "    try:\n"
+        "        return 2\n"
+        "    except Exception as exc:\n"
+        "        raise ValueError() from exc\n"
+        "    try:\n"
+        "        return 3\n"
+        "    except (KeyError, BaseException):\n"
+        "        pass\n"
+        "    try:\n"
+        "        return 4\n"
+        "    except builtins.Exception:\n"
+        "        pass\n"
+        "    try:\n"
+        "        return 5\n"
+        "    except (KeyError, ValueError):\n"
+        "        pass\n"
+        "    try:\n"
+        "        return 6\n"
+        "    except ArithmeticError:\n"
+        "        pass\n"
+    )
+    assert broad_handlers(planted) == [
+        "5: except", "9: except Exception", "13: except (KeyError, BaseException)",
+        "17: except builtins.Exception",
     ]

@@ -67,6 +67,13 @@ def test_constructor_rejects_bool_elements():
             NoncrossingPartition(blocks)
 
 
+def test_constructor_rejects_ground_elements_that_are_not_integers():
+    # both grounds compare equal to {1, 2}, so only the integer test stops them
+    for ground in ([True, 2], [1.0, 2.0]):
+        with pytest.raises(NotAPartition):
+            NoncrossingPartition([(1, 2)], ground=ground)
+
+
 def test_parse_render_round_trip():
     for text in ["146|23|5", "1", "12|3|49A|58|6|7", "78AB|9"]:
         assert NC(text).render() == text

@@ -160,6 +160,35 @@ def test_variable_index_validation():
         delta(0)
     with pytest.raises(ValueError):
         moment(-3)
+    for index in (True, 1.0, Fraction(1)):
+        with pytest.raises(ValueError):
+            delta(index)
+
+
+def test_bool_index_cannot_take_a_variable_slot():
+    # True == 1 and hashes alike, so a d_True given the first d1 slot of a
+    # process would render every later d1 as dTrue; d1 already has its slot
+    # in this process, so the check runs in a fresh one
+    code = (
+        "from nckit.cumulants import cumulants_from_moments\n"
+        "from nckit.poly import DELTA, Polynomial, Variable, delta\n"
+        "for make in (lambda: delta(True), lambda: Variable(DELTA, True)):\n"
+        "    try:\n"
+        "        Polynomial.from_variable(make())\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit('a bool index took a slot')\n"
+        "print(cumulants_from_moments(3).render_text())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(nckit.__file__).resolve().parents[1],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == (
+        "C3 = 1*d1*M1^3 - 1*d1*M1*M2 + 1*M1^3 - 2*M1*M2 + 1*M3"
+    )
 
 
 # -- ring axioms against exact evaluation ------------------------------------

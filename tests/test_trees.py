@@ -62,6 +62,9 @@ def test_is_binary():
     assert is_binary((CHERRY, CHERRY))
     assert not is_binary((LEAF, LEAF, LEAF))
     assert not is_binary((CHERRY, (LEAF, LEAF, LEAF)))
+    # trees are tuples: a list of leaves is not one, and would not hash
+    assert not is_binary([LEAF, LEAF])
+    assert not is_binary((LEAF, [LEAF, LEAF]))
 
 
 def test_is_prime():
@@ -199,6 +202,10 @@ def test_arrangement_validation():
         Arrangement([((1, 2), CHERRY), ((2, 3), CHERRY)])  # dot reused
     with pytest.raises(InvalidArrangement):
         Arrangement([((True, 2), CHERRY)])  # a bool is not a dot
+    with pytest.raises(InvalidArrangement):
+        Arrangement([((1.0, 2), CHERRY)])  # nor is a float
+    with pytest.raises(InvalidArrangement):
+        Arrangement([((1, 2), [LEAF, LEAF])])  # a shape is a tuple
 
 
 def test_arrangement_equality_and_order_independence():
@@ -377,6 +384,12 @@ def test_weights_match_their_products():
             w = weight_arrangement(a)
             assert w == weight_arrangement_by_product(a), a
             assert is_unit_monomial_or_zero(w), a
+
+
+def test_empty_arrangement_weight_is_the_empty_product():
+    (empty,) = enumerate_arrangements(0)
+    assert cover_counts(empty) == {}
+    assert weight_arrangement(empty) == 1
 
 
 def test_singleton_arrangement_weight_matches_partition_weight():

@@ -573,6 +573,17 @@ def test_table_all_fault_injection_exits_3(capsys, wrong_trees_route):
     assert rc == 3
     assert "agreement mobius/trees: MISMATCH" in out
     assert "agreement mobius/lagrange: ok" in out
+    argv = ("table", "delta", "--direction", "cumulants", "--n", "3", "--method", "all")
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 3
+    assert json.loads(out)["agreement"]["mobius/trees"] is False
+    rc, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == 3
+    assert out == cm.cumulants_from_moments(3).to_csv()
+    assert err == (
+        "agreement mobius/trees: MISMATCH\n"
+        "agreement trees/lagrange: MISMATCH\n"
+    )
 
 
 # -- shared plumbing ---------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the moment/cumulant transform tables and the pairing apparatus."""
 
+import csv
+import io
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from nckit.cumulants import (
     DIRECTION_CUMULANTS,
     DIRECTION_MOMENTS,
     FLAVOR_BOOLEAN,
+    FLAVOR_DELTA,
     FLAVOR_FREE,
     METHOD_LAGRANGE,
     METHOD_MOBIUS,
@@ -236,6 +239,26 @@ def test_table_metadata_and_serialization():
         table.entry(0)
     with pytest.raises(ValueError):
         table.entry(4)
+
+
+def csv_writer_rendering(table):
+    # the csv module's rendering of the table, kept as the oracle for to_csv
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "polynomial"])
+    for k, entry in enumerate(table.entries, start=1):
+        writer.writerow([k, entry.render()])
+    return buf.getvalue()
+
+
+def test_to_csv_matches_the_csv_writer():
+    for n in range(1, 7):
+        tables = [moments_from_cumulants(n)]
+        tables += [cumulants_from_moments(n, m) for m in CUMULANT_METHODS]
+        for table in tables:
+            for flavor in (FLAVOR_DELTA, FLAVOR_FREE, FLAVOR_BOOLEAN):
+                flat = specialize_table(table, flavor)
+                assert flat.to_csv() == csv_writer_rendering(flat)
 
 
 def test_table_rejects_nontriangular_entries():

@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nckit.ncpart import NoncrossingPartition, enumerate_nc, kreweras, weight
+from nckit.cumulants import psi
+from nckit.ncpart import (
+    NoncrossingPartition,
+    coarsest,
+    enumerate_nc,
+    kreweras,
+    kreweras_inv,
+    leq,
+    weight,
+)
 from nckit.poly import Polynomial, delta, poly_product
 from nckit.trees import (
     LEAF,
@@ -234,6 +243,29 @@ def test_kept_partition_is_invisible():
     assert hash(fresh) == hash(filled)
     assert repr(fresh) == repr(filled) == "Arrangement(14:[0, 0], 23:[0, 0])"
     assert fresh.to_json_list() == filled.to_json_list()
+
+
+def built_arrangements(n):
+    """Every arrangement on n dots, from each way the package builds one."""
+    for a in enumerate_arrangements(n):
+        yield a
+        yield Arrangement(a.components)
+    for t in enumerate_prime(n):
+        yield phi(t)
+    for rho in enumerate_nc(n):
+        if rho != coarsest(n):
+            dual = kreweras_inv(rho)
+            for a in enumerate_arrangements(n):
+                if leq(partition_of(a), dual):
+                    yield psi(a, rho)
+
+
+def test_partition_on_every_construction_path():
+    for n in range(1, 7):
+        for x in built_arrangements(n):
+            part = partition_of(x)
+            assert part == NoncrossingPartition([pos for pos, _ in x.components])
+            assert x.size == part.size
 
 
 def test_arrangement_is_immutable():

@@ -220,7 +220,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_table(args) -> int:
     n = args.n
     flavor = args.kind
-    agreement = None
+    agreement = {}
     if args.direction == "moments":
         table = cm.moments_from_cumulants(n)
     elif args.method == "all":
@@ -236,23 +236,19 @@ def _cmd_table(args) -> int:
 
     if args.format == "json":
         payload = table.to_json_dict()
-        if agreement is not None:
+        if agreement:
             payload = {"table": payload, "agreement": agreement}
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         sys.stdout.write(table.to_csv())
-        if agreement is not None:
-            for pair, ok in agreement.items():
-                if not ok:
-                    print(f"agreement {pair}: MISMATCH", file=sys.stderr)
+        for pair, ok in agreement.items():
+            if not ok:
+                print(f"agreement {pair}: MISMATCH", file=sys.stderr)
     else:
         print(table.render_text())
-        if agreement is not None:
-            for pair, ok in agreement.items():
-                print(f"agreement {pair}: {'ok' if ok else 'MISMATCH'}")
-    if agreement is not None and not all(agreement.values()):
-        return 3
-    return 0
+        for pair, ok in agreement.items():
+            print(f"agreement {pair}: {'ok' if ok else 'MISMATCH'}")
+    return 0 if all(agreement.values()) else 3
 
 
 # -- convert -----------------------------------------------------------------

@@ -41,8 +41,6 @@ hinges on.
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -208,12 +206,12 @@ class TransformTable:
             f"method={self.method!r}, flavor={self.flavor!r})"
         )
 
+    def _rows(self) -> list[tuple[int, str]]:
+        return [(k, entry.render()) for k, entry in enumerate(self.entries, start=1)]
+
     def render_text(self) -> str:
         sym = self.target_symbol
-        return "\n".join(
-            f"{sym}{k} = {entry.render()}"
-            for k, entry in enumerate(self.entries, start=1)
-        )
+        return "\n".join(f"{sym}{k} = {text}" for k, text in self._rows())
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,19 +219,12 @@ class TransformTable:
             "direction": self.direction,
             "method": self.method,
             "flavor": self.flavor,
-            "entries": [
-                {"index": k, "polynomial": entry.render()}
-                for k, entry in enumerate(self.entries, start=1)
-            ],
+            "entries": [{"index": k, "polynomial": text} for k, text in self._rows()],
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "polynomial"])
-        for k, entry in enumerate(self.entries, start=1):
-            writer.writerow([k, entry.render()])
-        return buf.getvalue()
+        # a rendered polynomial holds no comma, quote or newline to escape
+        return "index,polynomial\n" + "".join(f"{k},{text}\n" for k, text in self._rows())
 
 
 @lru_cache(maxsize=None)

@@ -54,11 +54,12 @@ class NoncrossingPartition:
     __slots__ = ("ground", "blocks", "_hash", "_owner", "_masks")
 
     def __init__(self, blocks: Iterable[Iterable[int]], ground: Iterable[int] | None = None):
-        clean = [tuple(sorted(block)) for block in blocks]
-        g = None if ground is None else tuple(sorted(ground))
-        for x in chain(*clean, g or ()):
+        clean = [tuple(block) for block in blocks]
+        g = None if ground is None else tuple(ground)
+        for x in chain(*clean, g or ()):  # before any sort compares two elements
             if not isinstance(x, int) or isinstance(x, bool):
                 raise NotAPartition(f"element {x!r} is not an integer")
+        clean = [tuple(sorted(b)) for b in clean]
         seen: set[int] = set()
         for b in clean:
             if not b:
@@ -68,14 +69,14 @@ class NoncrossingPartition:
                     raise NotAPartition(f"element {x} appears in two blocks")
                 seen.add(x)
         if g is None:
-            g = tuple(sorted(seen))
+            g = seen
         elif set(g) != seen:
             raise NotAPartition("blocks do not cover the ground set exactly")
         elif len(g) != len(seen):
             raise NotAPartition("ground set has repeated elements")
         if not is_noncrossing(clean):
             raise NotAPartition("blocks cross")
-        self._init_raw(g, tuple(sorted(clean)))
+        self._init_raw(tuple(sorted(g)), tuple(sorted(clean)))
 
     def _init_raw(self, ground: tuple, blocks: tuple) -> None:
         # the block structure, computed once: the index of the block owning

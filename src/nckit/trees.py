@@ -165,15 +165,20 @@ class Arrangement:
     """A noncrossing forest of binary trees with leaves on the dots 1..n.
 
     Components are (positions, shape) pairs: sorted dot positions carrying the
-    leaves of a full binary tree in left-to-right order.
+    leaves of a full binary tree in left-to-right order.  The partition of the
+    dots into component dot sets is built, and checked, with the arrangement.
     """
 
-    __slots__ = ("components", "_hash", "_partition")
+    __slots__ = ("components", "_partition")
 
     def __init__(self, components: Iterable[tuple]):
-        comps = []
-        for pos, shape in components:
-            pos = tuple(pos)
+        comps = [(tuple(pos), shape) for pos, shape in components]
+        dots = [pos for pos, _ in comps]
+        try:
+            part = NoncrossingPartition(dots, range(1, sum(map(len, dots)) + 1))
+        except NotAPartition as exc:
+            raise InvalidArrangement(f"dots do not form a partition of 1..n: {exc}") from exc
+        for pos, shape in comps:
             if list(pos) != sorted(pos):
                 raise InvalidArrangement(f"positions {pos} are not sorted")
             if not is_binary(shape):
@@ -182,35 +187,28 @@ class Arrangement:
                 raise InvalidArrangement(
                     f"{len(pos)} positions for a shape with {n_leaves(shape)} leaves"
                 )
-            comps.append((pos, shape))
-        comps.sort()
-        seen = [x for pos, _ in comps for x in pos]
-        n = len(seen)
-        if sorted(seen) != list(range(1, n + 1)):
-            raise InvalidArrangement("dots must cover 1..n exactly once")
-        try:
-            NoncrossingPartition([pos for pos, _ in comps])
-        except NotAPartition as exc:
-            raise InvalidArrangement(f"components cross: {exc}") from exc
-        self._init_raw(tuple(comps))
+        self._init_raw(comps, part)
 
-    def _init_raw(self, comps: tuple) -> None:
+    def _init_raw(self, comps: Sequence[tuple], part: NoncrossingPartition | None) -> None:
+        comps = tuple(sorted(comps))
+        if part is None:  # trusted components: build their partition unchecked
+            dots = [pos for pos, _ in comps]
+            part = NoncrossingPartition._trusted(dots, range(1, sum(map(len, dots)) + 1))
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_hash", hash(comps))
-        object.__setattr__(self, "_partition", None)  # filled by partition_of
+        object.__setattr__(self, "_partition", part)
 
     def __setattr__(self, name, value):
         raise AttributeError("Arrangement is immutable")
 
     @classmethod
-    def _trusted(cls, comps: Sequence[tuple]) -> "Arrangement":
+    def _trusted(cls, comps: Sequence[tuple], part: NoncrossingPartition | None = None) -> "Arrangement":
         a = object.__new__(cls)
-        a._init_raw(tuple(sorted(comps)))
+        a._init_raw(comps, part)
         return a
 
     @property
     def size(self) -> int:
-        return sum(len(pos) for pos, _ in self.components)
+        return self._partition.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Arrangement):
@@ -218,7 +216,7 @@ class Arrangement:
         return self.components == other.components
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.components)
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -236,12 +234,7 @@ class Arrangement:
 
 def partition_of(a: Arrangement) -> NoncrossingPartition:
     """The noncrossing partition whose blocks are the component dot sets,
-    built on the first call and kept on the arrangement."""
-    if a._partition is None:
-        part = NoncrossingPartition._trusted(
-            [pos for pos, _ in a.components], range(1, a.size + 1)
-        )
-        object.__setattr__(a, "_partition", part)
+    built with the arrangement and kept on it."""
     return a._partition
 
 
@@ -359,6 +352,6 @@ def enumerate_arrangements(n: int) -> tuple:
     out = []
     for p in enumerate_nc(n):
         for shapes in product(*(enumerate_binary(len(b)) for b in p.blocks)):
-            out.append(Arrangement._trusted(tuple(zip(p.blocks, shapes))))
+            out.append(Arrangement._trusted(tuple(zip(p.blocks, shapes)), p))
     out.sort(key=lambda a: a.components)
     return tuple(out)

@@ -5,8 +5,12 @@ complex literal, the name ``float``, an import of ``math``, ``decimal`` or
 ``statistics``, or a true division whose left operand is not a
 ``Fraction(...)`` call (so the quotient is a Fraction, never a float).
 
-A second lint keeps the packed monomial layout private: the attribute
-``_terms`` of a ``Polynomial`` may be read only inside ``poly.py``.
+A second lint keeps each private layout in its home module: ``_terms`` (the
+packed monomials of a ``Polynomial``, the lint's first entry) in ``poly.py``,
+``_owner`` and ``_masks`` (the block structure of a ``NoncrossingPartition``)
+in ``ncpart.py``, and ``_partition`` (the kept partition of an
+``Arrangement``) in ``trees.py``.  Elsewhere such an attribute may be neither
+read nor written.
 """
 
 import ast
@@ -79,21 +83,31 @@ def test_lint_catches_each_pattern():
     ]
 
 
-def private_term_reads(source: str) -> list[str]:
-    """One "line: _terms" string per use of the attribute ``_terms``."""
-    lines = sorted(
-        node.lineno
+# each private layout attribute, and the one module that may use it
+PRIVATE_HOMES = {
+    "_terms": "poly.py",
+    "_owner": "ncpart.py",
+    "_masks": "ncpart.py",
+    "_partition": "trees.py",
+}
+
+
+def private_layout_uses(source: str, module: str) -> list[str]:
+    """One "line: attr" string per use, in ``module``, of a private layout
+    attribute whose home is another module."""
+    found = sorted(
+        (node.lineno, node.attr)
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+        if isinstance(node, ast.Attribute)
+        and PRIVATE_HOMES.get(node.attr, module) != module
     )
-    return [f"{line}: _terms" for line in lines]
+    return [f"{line}: {attr}" for line, attr in found]
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "poly.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_packed_terms_stay_inside_poly(path):
-    assert private_term_reads(path.read_text(encoding="utf-8")) == []
+    # named for the lint's first entry; it checks every entry of PRIVATE_HOMES
+    assert private_layout_uses(path.read_text(encoding="utf-8"), path.name) == []
 
 
 def test_term_lint_catches_each_use():
@@ -102,5 +116,16 @@ def test_term_lint_catches_each_use():
         "p._terms = {}\n"
         "ok = p.items()\n"
         "q = getattr(p, 'terms')\n"
+        "k = q._owner[x] | q._masks[0]\n"
+        "part = a._partition\n"
     )
-    assert private_term_reads(bad) == ["1: _terms", "2: _terms"]
+    assert private_layout_uses(bad, "cli.py") == [
+        "1: _terms",
+        "2: _terms",
+        "5: _masks",
+        "5: _owner",
+        "6: _partition",
+    ]
+    assert private_layout_uses(bad, "poly.py") == ["5: _masks", "5: _owner", "6: _partition"]
+    assert private_layout_uses(bad, "ncpart.py") == ["1: _terms", "2: _terms", "6: _partition"]
+    assert private_layout_uses(bad, "trees.py") == ["1: _terms", "2: _terms", "5: _masks", "5: _owner"]

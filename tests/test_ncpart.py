@@ -58,6 +58,8 @@ def test_constructor_rejects_bad_input():
         NoncrossingPartition([[1], []])
     with pytest.raises(NotAPartition):
         NoncrossingPartition([[1, 2]], ground=[1, 2, 3])
+    with pytest.raises(NotAPartition):
+        NoncrossingPartition([(1, "a")])  # checked before a sort compares "a" with 1
 
 
 def test_constructor_rejects_bool_elements():
@@ -68,8 +70,9 @@ def test_constructor_rejects_bool_elements():
 
 
 def test_constructor_rejects_ground_elements_that_are_not_integers():
-    # both grounds compare equal to {1, 2}, so only the integer test stops them
-    for ground in ([True, 2], [1.0, 2.0]):
+    # the first two compare equal to {1, 2}, so only the integer test stops
+    # them; the last must be stopped before a sort compares "a" with 1
+    for ground in ([True, 2], [1.0, 2.0], [1, "a"]):
         with pytest.raises(NotAPartition):
             NoncrossingPartition([(1, 2)], ground=ground)
 

@@ -214,6 +214,8 @@ def test_arrangement_validation():
     with pytest.raises(InvalidArrangement):
         Arrangement([((1.0, 2), CHERRY)])  # nor is a float
     with pytest.raises(InvalidArrangement):
+        Arrangement([((1, "a"), CHERRY)])  # nor a string, which no sort may see
+    with pytest.raises(InvalidArrangement):
         Arrangement([((1, 2), [LEAF, LEAF])])  # a shape is a tuple
 
 
@@ -266,6 +268,10 @@ def test_partition_on_every_construction_path():
             part = partition_of(x)
             assert part == NoncrossingPartition([pos for pos, _ in x.components])
             assert x.size == part.size
+        shared = {}
+        for a in enumerate_arrangements(n):
+            dots = tuple(pos for pos, _ in a.components)
+            assert partition_of(a) is shared.setdefault(dots, partition_of(a))
 
 
 def test_arrangement_is_immutable():

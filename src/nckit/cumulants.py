@@ -60,6 +60,7 @@ from .ncpart import (
     zeta_c,
 )
 from .poly import (
+    DELTA,
     Polynomial,
     as_fraction,
     cumulant,
@@ -68,6 +69,7 @@ from .poly import (
     moment,
     poly_sum,
     shift_sum,
+    specialize_family,
     variable_key,
 )
 from .series import standard_series
@@ -448,8 +450,8 @@ def specialize_table(table: TransformTable, flavor: str) -> TransformTable:
         return table
     if flavor not in _FLAVOR_VALUES:
         raise ValueError(f"unknown flavor {flavor!r}")
-    assignment = {delta(k): _FLAVOR_VALUES[flavor] for k in range(1, table.n + 1)}
-    entries = [entry.substitute(assignment) for entry in table.entries]
+    value = _FLAVOR_VALUES[flavor]
+    entries = [specialize_family(entry, DELTA, value) for entry in table.entries]
     return TransformTable(table.n, table.direction, table.method, entries, flavor)
 
 

@@ -138,6 +138,12 @@ class NoncrossingPartition:
 
     @classmethod
     def parse(cls, text: str) -> "NoncrossingPartition":
+        """Inverse of render(): blocks of the digits 1-9, A-Z joined by "|".
+
+        Raises TypeError when text is not a str, NotAPartition when it does
+        not spell a noncrossing partition."""
+        if not isinstance(text, str):
+            raise TypeError(f"not partition text: {text!r}")
         s = text.strip()
         if not s:
             raise NotAPartition("empty partition text")

@@ -29,8 +29,13 @@ outer pass in a lagrange build), and each shared helper tried cost 3-7% on the
 Rendering is canonical and parseable: terms in graded-lex descending order
 (variable order d1 < d2 < ... < M1 < M2 < ... < C1 < C2 < ...), each term with
 an explicit rational coefficient, e.g. ``1*C1^2 + 1*C2`` or ``-2/3*d1*M2``.
-`render` sorts on one int per term: the degree above the exponents re-packed
-in variable order, the largest variable most significant.
+`render` builds each term from its family parts: a key is the sum of its d, M
+and C parts, each part being the key masked by `_family_mask`, the one helper
+that also serves `split_by_family` and `specialize_family`.  Terms share parts,
+so each distinct part is unpacked once per call into its degree, its exponents
+re-packed in variable order and its factor text.  A term sorts on one int, its
+summed degree above the OR of its re-packed parts (the largest variable most
+significant), and its text is the coefficient followed by the d, M and C texts.
 """
 
 from __future__ import annotations
@@ -105,6 +110,14 @@ def variable_key(var: Variable) -> int:
         key = _KEYS[var] = 1 << shift
         _GUARD |= key << (_WIDTH - 1)
     return key
+
+
+def _family_mask(family: int) -> int:
+    """The fields of every slotted variable of one family, as one packed mask;
+    joined as bytes, so the cost is linear in the number of slots."""
+    field, other = _FIELD.to_bytes(_WIDTH // 8, "little"), bytes(_WIDTH // 8)
+    fields = [field if var.family == family else other for var in _VARS]
+    return int.from_bytes(b"".join(fields), "little")
 
 
 def _pack(mono) -> int:
@@ -278,7 +291,7 @@ class Polynomial:
         Returns a map whose keys are monomials free of `family` variables and
         whose values collect the `family`-only cofactors.
         """
-        fields = sum(_FIELD * key for v, key in _KEYS.items() if v.family == family)
+        fields = _family_mask(family)
         out: dict[int, dict[int, Scalar]] = {}
         for key, coeff in self._terms.items():
             kept = key & fields
@@ -297,35 +310,50 @@ class Polynomial:
         for rank, slot in enumerate(ranked):
             to_rank[slot] = width * rank
         top = width * len(ranked)
-        terms = []
-        for key, coeff in self._terms.items():
+        dmask, mmask, cmask = (_family_mask(f) for f in (DELTA, MOMENT, CUMULANT))
+        parts = {}  # family part of a key -> its degree, re-packed fields and factor text
+
+        def part_of(part: int) -> tuple[int, int, str]:
             degree = ordered = 0
-            while key:
-                slot = ((key & -key).bit_length() - 1) // width
-                exp = key >> width * slot & field
-                key ^= exp << width * slot
+            while part:
+                slot = ((part & -part).bit_length() - 1) // width
+                exp = part >> width * slot & field
+                part ^= exp << width * slot
                 degree += exp
                 ordered |= exp << to_rank[slot]
-            terms.append((degree << top | ordered, ordered, coeff))
-        terms.sort(reverse=True)  # sort keys are distinct, so coefficients never compare
-        pieces = []
-        for k, (_, key, coeff) in enumerate(terms):
-            factors = [str(abs(coeff))]
+            text, key = "", ordered
             while key:
                 rank = ((key & -key).bit_length() - 1) // width
                 exp = key >> width * rank & field
                 key ^= exp << width * rank
-                factors.append(f"{symbols[rank]}^{exp}" if exp > 1 else symbols[rank])
-            body = "*".join(factors)
-            if k == 0:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(pieces)
+                text += f"*{symbols[rank]}^{exp}" if exp > 1 else f"*{symbols[rank]}"
+            return degree, ordered, text
+
+        terms = []
+        for key, coeff in self._terms.items():
+            d = key & dmask
+            d = parts.get(d) or parts.setdefault(d, part_of(d))
+            m = key & mmask
+            m = parts.get(m) or parts.setdefault(m, part_of(m))
+            c = key & cmask
+            c = parts.get(c) or parts.setdefault(c, part_of(c))
+            sign = " + " if coeff > 0 else " - "
+            terms.append((
+                (d[0] + m[0] + c[0]) << top | d[1] | m[1] | c[1],
+                f"{sign}{abs(coeff)}{d[2]}{m[2]}{c[2]}",
+            ))
+        terms.sort(reverse=True)  # sort keys are distinct, so texts never compare
+        text = "".join([body for _, body in terms])
+        return text[3:] if text[1] == "+" else f"-{text[3:]}"  # no separator before the first term
 
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
-        """Inverse of render(); accepts exactly the canonical term grammar."""
+        """Inverse of render(); accepts exactly the canonical term grammar.
+
+        Raises TypeError when text is not a str, ValueError when it is not
+        canonical polynomial text."""
+        if not isinstance(text, str):
+            raise TypeError(f"not polynomial text: {text!r}")
         s = text.strip()
         if not s:
             raise ValueError("empty polynomial text")
@@ -404,6 +432,22 @@ def power_by_squaring(base, exp: int):
 
 def poly_sum(terms: Iterable) -> Polynomial:
     return shift_sum((0, as_polynomial(t)) for t in terms)
+
+
+def specialize_family(p: Polynomial, family: int, value: int) -> Polynomial:
+    """p with every variable of one family set to 1 or to 0, in one pass over
+    the terms: 1 clears the family's fields of each key and merges the terms
+    that meet, 0 keeps only the keys with no field of the family."""
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"a family can only be set to 0 or 1, got {value!r}")
+    fields = _family_mask(family)
+    if not value:
+        return Polynomial._raw({key: c for key, c in p._terms.items() if not key & fields})
+    out: dict[int, Scalar] = {}
+    for key, coeff in p._terms.items():
+        key ^= key & fields
+        out[key] = out.get(key, 0) + coeff
+    return Polynomial._raw({key: _coefficient(s) for key, s in out.items() if s})
 
 
 def dot(pairs: Iterable[tuple]) -> Polynomial | Scalar:

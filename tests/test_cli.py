@@ -5,6 +5,7 @@ exit codes; one subprocess smoke test covers the ``python -m nckit`` path, and
 one compares the output of two fresh processes.
 """
 
+import hashlib
 import inspect
 import json
 import signal
@@ -18,6 +19,8 @@ from nckit import cli
 from nckit import cumulants as cm
 from nckit.cli import main
 from nckit.poly import Polynomial, delta, moment
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
 
 
 def run_cli(capsys, *argv):
@@ -530,6 +533,18 @@ def test_verify_passes_at_the_benchmarked_size(capsys):
         "ok sign pattern: 29 cases\n"
         "all checks passed (max n = 6)\n"
     )
+
+
+def test_benchmark_goldens_match_from_cold_caches(capsys):
+    """Every command of the benchmark's goldens file, read and never written,
+    gives its recorded exit code and stdout digest from cold caches."""
+    goldens = json.loads(GOLDENS.read_text())
+    assert goldens
+    for command, expected in goldens.items():
+        cm.clear_caches()
+        rc, out, _ = run_cli(capsys, *command.split())
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert {"exit": rc, "sha256": digest} == expected, command
 
 
 def test_verify_rejects_bad_max_n(capsys):

@@ -86,6 +86,12 @@ def test_parse_render_round_trip():
             NC(bad)
 
 
+def test_parse_rejects_non_text():
+    for bad in (5, None, b"12|3", ["12", "3"]):
+        with pytest.raises(TypeError, match="not partition text"):
+            NoncrossingPartition.parse(bad)
+
+
 def test_finest_coarsest():
     assert finest(3).blocks == ((1,), (2,), (3,))
     assert coarsest(3).blocks == ((1, 2, 3),)

@@ -27,6 +27,7 @@ from nckit.poly import (
     poly_product,
     poly_sum,
     shift_sum,
+    specialize_family,
     variable_key,
 )
 from nckit.series import standard_series
@@ -321,6 +322,37 @@ def test_render_of_tables_matches_the_tuple_sort():
             assert entry.render() == oracle_render(entry)
 
 
+# one family each, several terms sharing each part, so a product's terms share
+# their d, M and C parts and render's part cache is hit
+def family_polynomials(family):
+    family_vars = [v for v in WIDE_VARS if v.family == family][:6]
+    parts = st.dictionaries(st.sampled_from(family_vars), st.integers(1, 4), max_size=3).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+    return st.dictionaries(parts, rationals, min_size=1, max_size=4).map(Polynomial)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_polynomials(DELTA), family_polynomials(MOMENT), family_polynomials(CUMULANT))
+def test_render_of_products_sharing_family_parts(d, m, c):
+    for p in (d * m * c, d * c, m * c + d, (d + m) * c):
+        assert p.render() == oracle_render(p)
+        assert Polynomial.parse(p.render()) == p
+
+
+def test_render_edge_cases():
+    for p, text in [
+        (Polynomial.zero(), "0"),
+        (Polynomial.constant(5), "5"),
+        (Polynomial.constant(Fraction(-3, 4)), "-3/4"),
+        (P("1*C7*C2^3 - 1/2*C1"), "1*C2^3*C7 - 1/2*C1"),
+        (P("7*M4^2 - 5/3*C3^4*M1*d2^2 - 1"), "-5/3*d2^2*M1*C3^4 + 7*M4^2 - 1"),
+        (P("1/7 + 3*d1*C1 - 2/5*M1*C1 - 1*C1^2"), "-1*C1^2 - 2/5*M1*C1 + 3*d1*C1 + 1/7"),
+    ]:
+        assert p.render() == oracle_render(p) == text
+        assert Polynomial.parse(text) == p
+
+
 def test_render_does_not_depend_on_slot_order():
     # fresh variables touched in descending variable order get ascending slots
     c, m, d = cumulant(9003), moment(9002), delta(9001)
@@ -339,6 +371,12 @@ def test_parse_rejects_junk():
         "1\n*M1", "2*M1\n*M2",  # a newline must not end a pattern's match early
     ]:
         with pytest.raises(ValueError):
+            Polynomial.parse(bad)
+
+
+def test_parse_rejects_non_text():
+    for bad in (5, None, b"1*M1", ["1*M1"]):
+        with pytest.raises(TypeError, match="not polynomial text"):
             Polynomial.parse(bad)
 
 
@@ -371,6 +409,43 @@ def test_split_by_family():
         Polynomial({rest: 1}) * part for rest, part in groups.items()
     )
     assert total == p
+
+
+def by_substitute(p, family, value):
+    return p.substitute({v: value for v in p.variables() if v.family == family})
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials, wide_terms)
+def test_specialize_family_matches_substitute(p, t):
+    for q in (p, Polynomial(t), p * Polynomial(t)):
+        for family in (DELTA, MOMENT, CUMULANT):
+            for value in (0, 1):
+                result = specialize_family(q, family, value)
+                assert_canonical(result)
+                assert result == by_substitute(q, family, value)
+
+
+def test_specialize_family_matches_substitute_on_tables():
+    for table in (
+        moments_from_cumulants(9),
+        cumulants_from_moments(7),
+        cumulants_from_moments(12, "lagrange"),
+    ):
+        for value in (0, 1):
+            assignment = {delta(k): value for k in range(1, table.n + 1)}
+            for entry in table.entries:
+                assert specialize_family(entry, DELTA, value) == entry.substitute(assignment)
+
+
+def test_specialize_family_takes_only_zero_or_one():
+    p = P("1*d1*M1 + 2*M1")
+    assert specialize_family(p, DELTA, 1) == P("3*M1")
+    assert specialize_family(p, DELTA, 0) == P("2*M1")
+    assert specialize_family(P("1*d1 - 1*d2"), DELTA, 1) == Polynomial.zero()
+    for bad in (2, -1, True, Fraction(1), "1"):
+        with pytest.raises(ValueError):
+            specialize_family(p, DELTA, bad)
 
 
 def test_helper_sums_products():

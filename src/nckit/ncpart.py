@@ -36,7 +36,8 @@ _DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
-    """Literal quadruple test: no i < j < k < l with i~k, j~l, j!~k."""
+    """Literal quadruple test: no i < j < k < l with i~k, j~l, j!~k; the oracle
+    for the constructor, which reads the arcs instead."""
     owner: dict[int, int] = {}
     for b, block in enumerate(blocks):
         for x in block:
@@ -54,8 +55,12 @@ class NoncrossingPartition:
     __slots__ = ("ground", "blocks", "_hash", "_owner", "_masks")
 
     def __init__(self, blocks: Iterable[Iterable[int]], ground: Iterable[int] | None = None):
-        clean = [tuple(block) for block in blocks]
-        g = None if ground is None else tuple(ground)
+        """Raises NotAPartition unless the blocks are a noncrossing partition of the ground."""
+        try:
+            clean = [tuple(block) for block in blocks]
+            g = None if ground is None else tuple(ground)
+        except TypeError:
+            raise NotAPartition("the blocks, each block and the ground must be iterable") from None
         for x in chain(*clean, g or ()):  # before any sort compares two elements
             if not isinstance(x, int) or isinstance(x, bool):
                 raise NotAPartition(f"element {x!r} is not an integer")
@@ -74,9 +79,10 @@ class NoncrossingPartition:
             raise NotAPartition("blocks do not cover the ground set exactly")
         elif len(g) != len(seen):
             raise NotAPartition("ground set has repeated elements")
-        if not is_noncrossing(clean):
-            raise NotAPartition("blocks cross")
         self._init_raw(tuple(sorted(g)), tuple(sorted(clean)))
+        for _, inside in _arc_spans(self):  # a block with members on both sides crosses
+            if any(m & inside not in (0, m) for m in self._masks):
+                raise NotAPartition("blocks cross")
 
     def _init_raw(self, ground: tuple, blocks: tuple) -> None:
         # the block structure, computed once: the index of the block owning

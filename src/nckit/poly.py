@@ -30,12 +30,13 @@ Rendering is canonical and parseable: terms in graded-lex descending order
 (variable order d1 < d2 < ... < M1 < M2 < ... < C1 < C2 < ...), each term with
 an explicit rational coefficient, e.g. ``1*C1^2 + 1*C2`` or ``-2/3*d1*M2``.
 `render` builds each term from its family parts: a key is the sum of its d, M
-and C parts, each part being the key masked by `_family_mask`, the one helper
-that also serves `split_by_family` and `specialize_family`.  Terms share parts,
-so each distinct part is unpacked once per call into its degree, its exponents
-re-packed in variable order and its factor text.  A term sorts on one int, its
-summed degree above the OR of its re-packed parts (the largest variable most
-significant), and its text is the coefficient followed by the d, M and C texts.
+and C parts, each part being the key masked by its family's entry in
+`_MASKS`, which `split_by_family` and `specialize_family` also read.  Terms
+share parts, so each distinct part is read once per call through `_unpack`
+into its degree, its exponents re-packed in the order of the polynomial's own
+variables and its factor text.  A term sorts on one int, its summed degree
+above the OR of its re-packed parts (the largest variable most significant),
+and its text is the coefficient followed by the d, M and C texts.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ _MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 _KEYS: dict[Variable, int] = {}  # variable -> 1 << (32 * its slot)
 _VARS: list[Variable] = []  # slot -> variable
 _GUARD = 0  # the top bit of every field in use
+_MASKS: dict[int, int] = {}  # family -> the fields of its slotted variables
 
 
 def variable_key(var: Variable) -> int:
@@ -109,15 +111,8 @@ def variable_key(var: Variable) -> int:
         _VARS.append(_make_var(var.family, var.index))
         key = _KEYS[var] = 1 << shift
         _GUARD |= key << (_WIDTH - 1)
+        _MASKS[var.family] = _MASKS.get(var.family, 0) | key * _FIELD
     return key
-
-
-def _family_mask(family: int) -> int:
-    """The fields of every slotted variable of one family, as one packed mask;
-    joined as bytes, so the cost is linear in the number of slots."""
-    field, other = _FIELD.to_bytes(_WIDTH // 8, "little"), bytes(_WIDTH // 8)
-    fields = [field if var.family == family else other for var in _VARS]
-    return int.from_bytes(b"".join(fields), "little")
 
 
 def _pack(mono) -> int:
@@ -291,7 +286,7 @@ class Polynomial:
         Returns a map whose keys are monomials free of `family` variables and
         whose values collect the `family`-only cofactors.
         """
-        fields = _family_mask(family)
+        fields = _MASKS.get(family, 0)
         out: dict[int, dict[int, Scalar]] = {}
         for key, coeff in self._terms.items():
             kept = key & fields
@@ -303,30 +298,18 @@ class Polynomial:
     def render(self) -> str:
         if not self._terms:
             return "0"
-        width, field = _WIDTH, _FIELD
-        ranked = sorted(range(len(_VARS)), key=_VARS.__getitem__)  # rank -> slot
-        symbols = [_VARS[slot].symbol() for slot in ranked]
-        to_rank = [0] * len(ranked)  # slot -> shift of its field in variable order
-        for rank, slot in enumerate(ranked):
-            to_rank[slot] = width * rank
-        top = width * len(ranked)
-        dmask, mmask, cmask = (_family_mask(f) for f in (DELTA, MOMENT, CUMULANT))
+        names = {v: (_WIDTH * r, v.symbol()) for r, v in enumerate(sorted(self.variables()))}
+        top = _WIDTH * len(names)
+        dmask, mmask, cmask = (_MASKS.get(f, 0) for f in (DELTA, MOMENT, CUMULANT))
         parts = {}  # family part of a key -> its degree, re-packed fields and factor text
 
         def part_of(part: int) -> tuple[int, int, str]:
-            degree = ordered = 0
-            while part:
-                slot = ((part & -part).bit_length() - 1) // width
-                exp = part >> width * slot & field
-                part ^= exp << width * slot
+            degree, ordered, text = 0, 0, ""
+            for var, exp in _unpack(part):
+                shift, name = names[var]  # shift of var's field in variable order
                 degree += exp
-                ordered |= exp << to_rank[slot]
-            text, key = "", ordered
-            while key:
-                rank = ((key & -key).bit_length() - 1) // width
-                exp = key >> width * rank & field
-                key ^= exp << width * rank
-                text += f"*{symbols[rank]}^{exp}" if exp > 1 else f"*{symbols[rank]}"
+                ordered |= exp << shift
+                text += f"*{name}^{exp}" if exp > 1 else f"*{name}"
             return degree, ordered, text
 
         terms = []
@@ -440,7 +423,7 @@ def specialize_family(p: Polynomial, family: int, value: int) -> Polynomial:
     that meet, 0 keeps only the keys with no field of the family."""
     if type(value) is not int or value not in (0, 1):
         raise ValueError(f"a family can only be set to 0 or 1, got {value!r}")
-    fields = _family_mask(family)
+    fields = _MASKS.get(family, 0)
     if not value:
         return Polynomial._raw({key: c for key, c in p._terms.items() if not key & fields})
     out: dict[int, Scalar] = {}

@@ -55,6 +55,10 @@ class LaurentSeries:
     __slots__ = ("low", "order", "coeffs")
 
     def __init__(self, low: int, coeffs: Sequence, order: int | None = None):
+        """Raises TypeError for a bound that is not an int or a coefficient outside
+        the ring, ValueError for a window that is empty or does not fit coeffs."""
+        if type(low) is not int or type(order) not in (int, type(None)):
+            raise TypeError(f"window bounds must be ints, got [{low!r}, {order!r})")
         cs = [_as_coefficient(c) for c in coeffs]
         if order is None:
             order = low + len(cs)

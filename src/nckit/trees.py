@@ -106,18 +106,10 @@ def enumerate_prime(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def enumerate_binary(m: int) -> tuple:
-    """Full binary trees with m leaves, in canonical order."""
+    """Full binary trees with m leaves, in canonical order, read off the Schroder trees."""
     if m < 1:
         raise ValueError("need m >= 1")
-    if m == 1:
-        return (LEAF,)
-    out = []
-    for k in range(1, m):
-        for left in enumerate_binary(k):
-            for right in enumerate_binary(m - k):
-                out.append((left, right))
-    out.sort()
-    return tuple(out)
+    return tuple(filter(is_binary, _trees_with_leaves(m)))
 
 
 # -- the partition of a prime tree ------------------------------------------
@@ -172,7 +164,11 @@ class Arrangement:
     __slots__ = ("components", "_partition")
 
     def __init__(self, components: Iterable[tuple]):
-        comps = [(tuple(pos), shape) for pos, shape in components]
+        """Raises InvalidArrangement on components that do not describe one."""
+        try:
+            comps = [(tuple(pos), shape) for pos, shape in components]
+        except (TypeError, ValueError):
+            raise InvalidArrangement("components must be (positions, shape) pairs") from None
         dots = [pos for pos, _ in comps]
         try:
             part = NoncrossingPartition(dots, range(1, sum(map(len, dots)) + 1))

@@ -9,8 +9,10 @@ A second lint keeps each private layout in its home module: ``_terms`` (the
 packed monomials of a ``Polynomial``, the lint's first entry) in ``poly.py``,
 ``_owner`` and ``_masks`` (the block structure of a ``NoncrossingPartition``)
 in ``ncpart.py``, and ``_partition`` (the kept partition of an
-``Arrangement``) in ``trees.py``.  Elsewhere such an attribute may be neither
-read nor written.
+``Arrangement``) in ``trees.py``, and the key layout ``_KEYS``, ``_VARS``,
+``_GUARD`` and ``_MASKS`` (the variable slots, the guard bits and the family
+masks) in ``poly.py``.  Elsewhere such a name may be neither read nor written
+as an attribute, nor imported with ``from ... import``.
 """
 
 import ast
@@ -83,25 +85,34 @@ def test_lint_catches_each_pattern():
     ]
 
 
-# each private layout attribute, and the one module that may use it
+# each private layout name, and the one module that may use it
 PRIVATE_HOMES = {
     "_terms": "poly.py",
     "_owner": "ncpart.py",
     "_masks": "ncpart.py",
     "_partition": "trees.py",
+    "_KEYS": "poly.py",
+    "_VARS": "poly.py",
+    "_GUARD": "poly.py",
+    "_MASKS": "poly.py",
 }
 
 
 def private_layout_uses(source: str, module: str) -> list[str]:
-    """One "line: attr" string per use, in ``module``, of a private layout
-    attribute whose home is another module."""
-    found = sorted(
-        (node.lineno, node.attr)
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute)
-        and PRIVATE_HOMES.get(node.attr, module) != module
-    )
-    return [f"{line}: {attr}" for line, attr in found]
+    """One "line: name" string per use, in ``module``, of a private layout
+    name whose home is another module: an attribute read or write, or a name
+    imported with ``from ... import``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names]
+    return [
+        f"{line}: {name}"
+        for line, name in sorted(found)
+        if PRIVATE_HOMES.get(name, module) != module
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -118,14 +129,22 @@ def test_term_lint_catches_each_use():
         "q = getattr(p, 'terms')\n"
         "k = q._owner[x] | q._masks[0]\n"
         "part = a._partition\n"
+        "from .poly import _MASKS, variable_key\n"
+        "guard = poly._GUARD\n"
     )
+    key_layout = ["7: _MASKS", "8: _GUARD"]
     assert private_layout_uses(bad, "cli.py") == [
         "1: _terms",
         "2: _terms",
         "5: _masks",
         "5: _owner",
         "6: _partition",
+        *key_layout,
     ]
     assert private_layout_uses(bad, "poly.py") == ["5: _masks", "5: _owner", "6: _partition"]
-    assert private_layout_uses(bad, "ncpart.py") == ["1: _terms", "2: _terms", "6: _partition"]
-    assert private_layout_uses(bad, "trees.py") == ["1: _terms", "2: _terms", "5: _masks", "5: _owner"]
+    assert private_layout_uses(bad, "ncpart.py") == [
+        "1: _terms", "2: _terms", "6: _partition", *key_layout
+    ]
+    assert private_layout_uses(bad, "trees.py") == [
+        "1: _terms", "2: _terms", "5: _masks", "5: _owner", *key_layout
+    ]

@@ -60,6 +60,9 @@ def test_constructor_rejects_bad_input():
         NoncrossingPartition([[1, 2]], ground=[1, 2, 3])
     with pytest.raises(NotAPartition):
         NoncrossingPartition([(1, "a")])  # checked before a sort compares "a" with 1
+    for blocks, ground in (([1, 2], None), ([(1, 2)], 5), (5, None), ([(1,), 2], None)):
+        with pytest.raises(NotAPartition, match="must be iterable"):  # not tuple(int)'s TypeError
+            NoncrossingPartition(blocks, ground)
 
 
 def test_constructor_rejects_bool_elements():
@@ -75,6 +78,37 @@ def test_constructor_rejects_ground_elements_that_are_not_integers():
     for ground in ([True, 2], [1.0, 2.0], [1, "a"]):
         with pytest.raises(NotAPartition):
             NoncrossingPartition([(1, 2)], ground=ground)
+
+
+def _accepts(blocks, ground=None) -> bool:
+    try:
+        NoncrossingPartition(blocks, ground)
+    except NotAPartition as exc:
+        assert str(exc) == "blocks cross"
+        return False
+    return True
+
+
+def test_constructor_accepts_exactly_the_noncrossing_set_partitions():
+    # the constructor reads arcs; is_noncrossing is the literal quadruple test
+    for n in range(1, 9):
+        for blocks in enumerate_set_partitions(n):
+            assert _accepts(blocks) == is_noncrossing(blocks), blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True),
+    st.lists(st.integers(0, 3), min_size=12, max_size=12),
+    st.booleans(),
+)
+def test_constructor_agrees_with_is_noncrossing_on_any_ground(ground, labels, pass_ground):
+    # unsorted blocks over grounds with negatives and gaps
+    blocks = {}
+    for x, label in zip(ground, labels):
+        blocks.setdefault(label, []).append(x)
+    blocks = list(blocks.values())
+    assert _accepts(blocks, ground if pass_ground else None) == is_noncrossing(blocks)
 
 
 def test_parse_render_round_trip():

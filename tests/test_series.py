@@ -81,6 +81,10 @@ def test_constructor_messages():
         TypeError, match=r"^series coefficients must be polynomials or rationals, got True$"
     ):
         LaurentSeries(0, [1, 2]).scale(True)
+    # "a" met "a" + 1 in the window arithmetic, and a float order was kept
+    for low, order in (("a", None), (F(0), None), (0, 1.0), (True, 2), (0, "1")):
+        with pytest.raises(TypeError, match=r"^window bounds must be ints, got \["):
+            LaurentSeries(low, [1], order)
 
 
 def test_operations_do_not_revalidate_coefficients(monkeypatch):

@@ -126,6 +126,24 @@ def test_binary_counts():
         assert len(enumerate_binary(m)) == expected
 
 
+def recursive_binary(m: int) -> tuple:
+    # oracle: a root over every split of the m leaves into two subtrees
+    if m == 1:
+        return (LEAF,)
+    out = [
+        (left, right)
+        for k in range(1, m)
+        for left in recursive_binary(k)
+        for right in recursive_binary(m - k)
+    ]
+    return tuple(sorted(out))
+
+
+def test_binary_trees_match_the_recursive_oracle():
+    for m in range(1, 10):
+        assert enumerate_binary(m) == recursive_binary(m), m
+
+
 def test_enumeration_is_canonical_and_well_formed():
     for n in range(1, len(LITTLE_SCHRODER) + 1):
         trees = enumerate_schroder(n)
@@ -217,6 +235,10 @@ def test_arrangement_validation():
         Arrangement([((1, "a"), CHERRY)])  # nor a string, which no sort may see
     with pytest.raises(InvalidArrangement):
         Arrangement([((1, 2), [LEAF, LEAF])])  # a shape is a tuple
+    # neither tuple(int)'s TypeError nor an unpacking ValueError escapes
+    for comps in ([(1, CHERRY)], [((1,), LEAF), ((2,),)], [((1,), LEAF, LEAF)], 5):
+        with pytest.raises(InvalidArrangement, match=r"must be \(positions, shape\) pairs"):
+            Arrangement(comps)
 
 
 def test_arrangement_equality_and_order_independence():

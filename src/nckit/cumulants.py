@@ -50,7 +50,6 @@ from .ncpart import (
     _delta_key,
     _require_standard_ground,
     _zeta_keys,
-    coarsest,
     enumerate_nc,
     iota,
     kreweras_inv,
@@ -229,14 +228,6 @@ class TransformTable:
         return "index,polynomial\n" + "".join(f"{k},{text}\n" for k, text in self._rows())
 
 
-@lru_cache(maxsize=None)
-def _linear_extension(n: int) -> tuple:
-    """All noncrossing partitions, finer before coarser."""
-    return tuple(
-        sorted(enumerate_nc(n), key=lambda p: (-p.block_count, p.blocks))
-    )
-
-
 # -- forward direction -------------------------------------------------------
 
 def _block_key(p: NoncrossingPartition, family=moment) -> int:
@@ -253,7 +244,7 @@ def product_cumulant(p: NoncrossingPartition) -> Polynomial:
     return Polynomial._raw({_block_key(p, cumulant): 1})
 
 
-def _first_block(seq, deltas, inverse: bool, one) -> list:
+def _first_block(seq, deltas, inverse: bool) -> list:
     """Yoshida's formula split at the block that contains 1, over Polynomials
     or exact rationals (each sum of products is one `dot`).
 
@@ -264,7 +255,7 @@ def _first_block(seq, deltas, inverse: bool, one) -> list:
     earlier ones.  C_n enters M_n with coefficient 1, so the inverse
     (``seq`` holds moments) is a triangular solve.  Returns the other sequence.
     """
-    moments, cumulants, gaps, rows = [one], [], [one], []
+    moments, cumulants, gaps, rows = [1], [], [1], []
     for n, (x, d) in enumerate(zip(seq, deltas), start=1):
         rows.append([])
         rows[0].append(moments[-1])
@@ -284,13 +275,13 @@ def _moment_entries(n: int) -> tuple:
     def variables(family):
         return [Polynomial.from_variable(family(k)) for k in range(1, n + 1)]
 
-    return tuple(
-        _first_block(variables(cumulant), variables(delta), False, Polynomial.one())
-    )
+    return tuple(_first_block(variables(cumulant), variables(delta), False))
 
 
 def moments_from_cumulants(n: int) -> TransformTable:
     """Each moment as the weighted sum of cumulant products over the lattice."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("need n >= 1")
     return TransformTable(n, DIRECTION_MOMENTS, METHOD_YOSHIDA, _moment_entries(n))
@@ -298,11 +289,11 @@ def moments_from_cumulants(n: int) -> TransformTable:
 
 # -- inverse direction: three routes ----------------------------------------
 
-def _coarsenings(n: int) -> list:
-    """Per partition of ``_linear_extension(n)``, the bitset of the indices of
-    the partitions above it: its own bit or'd with the bitsets of its covers,
-    the merges of two blocks that stay noncrossing, filled coarsest first."""
-    parts = _linear_extension(n)
+def _coarsenings(parts: list) -> list:
+    """Per partition of ``parts``, the lattice sorted finer before coarser, the
+    bitset of the indices of the partitions above it: its own bit or'd with the
+    bitsets of its covers, the merges of two blocks that stay noncrossing,
+    filled coarsest first."""
     index = {p.blocks: i for i, p in enumerate(parts)}
     up = [1 << i for i in range(len(parts))]
     for i in range(len(parts) - 1, -1, -1):
@@ -330,7 +321,8 @@ def _mu_top_column(n: int) -> tuple:
     monomial with coefficient 1, so each sum is monomial shifts into one
     accumulator; the pairs are comparable by construction, so ``leq`` is skipped.
     """
-    parts, up = _linear_extension(n), _coarsenings(n)
+    parts = sorted(enumerate_nc(n), key=lambda p: (-p.block_count, p.blocks))
+    up = _coarsenings(parts)
     values = [Polynomial.one()] * len(parts)
     for i in range(len(parts) - 2, -1, -1):
         above = list(_bits(up[i] ^ (1 << i)))
@@ -429,6 +421,8 @@ def cumulants_from_moments(n: int, method: str = DEFAULT_METHOD) -> TransformTab
         raise ValueError(
             f"unknown cumulant method {method!r}; expected one of {CUMULANT_METHODS}"
         ) from None
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("need n >= 1")
     return TransformTable(n, DIRECTION_CUMULANTS, method, entries(n))
@@ -481,9 +475,7 @@ def numeric_convert(values, deltas, direction: str) -> list:
         raise LengthMismatch(
             f"{len(values)} sequence values but {len(deltas)} weight values"
         )
-    return _first_block(
-        values, deltas, direction == DIRECTION_CUMULANTS, Fraction(1)
-    )
+    return _first_block(values, deltas, direction == DIRECTION_CUMULANTS)
 
 
 # -- cancellation apparatus --------------------------------------------------
@@ -515,9 +507,9 @@ def _pairing_context(a: Arrangement, rho: NoncrossingPartition):
         raise PreconditionViolated(
             f"arrangement on {a.size} dots against a partition of {n}"
         )
-    if rho == coarsest(n):
-        raise PreconditionViolated("the full partition admits no pairing")
     dual = kreweras_inv(rho)
+    if rho.block_count == 1:
+        raise PreconditionViolated("the full partition admits no pairing")
     if not leq(partition_of(a), dual):
         raise PreconditionViolated(
             "arrangement partition is not below the dual of rho"

@@ -52,7 +52,7 @@ def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
 class NoncrossingPartition:
     """Immutable noncrossing partition; hashable, canonically ordered blocks."""
 
-    __slots__ = ("ground", "blocks", "_hash", "_owner", "_masks")
+    __slots__ = ("ground", "blocks", "_owner", "_masks")
 
     def __init__(self, blocks: Iterable[Iterable[int]], ground: Iterable[int] | None = None):
         """Raises NotAPartition unless the blocks are a noncrossing partition of the ground."""
@@ -93,7 +93,6 @@ class NoncrossingPartition:
             masks[owner[x]] |= 1 << i
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_hash", hash((ground, blocks)))
         object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "_masks", tuple(masks))
 
@@ -102,9 +101,10 @@ class NoncrossingPartition:
 
     @classmethod
     def _trusted(cls, blocks: Iterable[Sequence[int]], ground: Sequence[int]) -> "NoncrossingPartition":
-        # internal fast path: caller guarantees a valid noncrossing partition
+        # internal fast path: caller guarantees a valid noncrossing partition in
+        # canonical order, each block a sorted tuple, blocks by first element
         p = object.__new__(cls)
-        p._init_raw(tuple(ground), tuple(sorted(tuple(b) for b in blocks)))
+        p._init_raw(tuple(ground), tuple(blocks))
         return p
 
     # -- basics --------------------------------------------------------------
@@ -129,7 +129,7 @@ class NoncrossingPartition:
         return self.ground == other.ground and self.blocks == other.blocks
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.ground, self.blocks))
 
     def __repr__(self) -> str:
         return f"NoncrossingPartition({self.render()})"
@@ -323,7 +323,7 @@ def kreweras_inv(p: NoncrossingPartition) -> NoncrossingPartition:
     """Inverse complement, via complement-of-rotation (K squared is a rotation)."""
     n = _require_standard_ground(p)
     shifted = NoncrossingPartition._trusted(
-        [tuple(sorted(x % n + 1 for x in b)) for b in p.blocks], range(1, n + 1)
+        sorted(tuple(sorted(x % n + 1 for x in b)) for b in p.blocks), range(1, n + 1)
     )
     return kreweras(shifted)
 

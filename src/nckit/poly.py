@@ -116,8 +116,12 @@ def variable_key(var: Variable) -> int:
 
 
 def _pack(mono) -> int:
+    try:
+        pairs = [(var, exp) for var, exp in mono]
+    except (TypeError, ValueError):
+        raise TypeError("a monomial must be an iterable of (Variable, exponent) pairs") from None
     key = 0
-    for var, exp in mono:
+    for var, exp in pairs:
         if not isinstance(var, Variable):
             raise TypeError(f"not a Variable: {var!r}")
         if type(exp) is not int or not 1 <= exp <= _MAX_EXPONENT:
@@ -150,7 +154,12 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        """From monomials to scalars; repeated variables and equal monomials merge."""
+        """From monomials to scalars; repeated variables and equal monomials merge.
+
+        Raises TypeError unless terms maps iterables of (Variable, exponent) pairs
+        to ints or Fractions, ValueError for an exponent outside 1..2**31 - 1."""
+        if not isinstance(terms, (Mapping, type(None))):
+            raise TypeError(f"polynomial terms must be a mapping, not {type(terms).__name__}")
         pairs = ((_pack(mono), Polynomial.constant(c)) for mono, c in (terms or {}).items())
         self._terms = shift_sum(pairs)._terms
 
@@ -239,7 +248,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "Polynomial":
-        if not isinstance(exp, int) or exp < 0:
+        if type(exp) is not int or exp < 0:
             raise ValueError("polynomial powers must have nonnegative integer exponent")
         return power_by_squaring(self, exp) if exp else Polynomial.one()
 

@@ -198,7 +198,7 @@ class LaurentSeries:
     def power(self, k: int) -> "LaurentSeries":
         """Integer power by binary squaring; power(f, 0) is 1 on the window
         [0, order - low).  Any grouping of the k factors gives the same window."""
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise TypeError("series powers must be integers")
         if k == 0:
             return constant_series(1, self.order - self.low)

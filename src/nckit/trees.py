@@ -61,10 +61,15 @@ def tree_to_json(t: Tree):
 
 
 def tree_from_json(obj) -> Tree:
+    """Inverse of tree_to_json; raises ValueError on anything else, lists nested
+    past the interpreter's recursion limit included."""
     if type(obj) is int and obj == 0:  # not False, 0.0 or Fraction(0)
         return LEAF
     if isinstance(obj, list) and len(obj) >= 2:
-        return tuple(tree_from_json(c) for c in obj)
+        try:
+            return tuple(tree_from_json(c) for c in obj)
+        except RecursionError:
+            raise ValueError("tree encoding nested past the recursion limit") from None
     raise ValueError(f"bad tree encoding: {obj!r}")
 
 
@@ -164,7 +169,8 @@ class Arrangement:
     __slots__ = ("components", "_partition")
 
     def __init__(self, components: Iterable[tuple]):
-        """Raises InvalidArrangement on components that do not describe one."""
+        """Raises InvalidArrangement on components that do not describe one,
+        shapes nested past the interpreter's recursion limit included."""
         try:
             comps = [(tuple(pos), shape) for pos, shape in components]
         except (TypeError, ValueError):
@@ -174,15 +180,18 @@ class Arrangement:
             part = NoncrossingPartition(dots, range(1, sum(map(len, dots)) + 1))
         except NotAPartition as exc:
             raise InvalidArrangement(f"dots do not form a partition of 1..n: {exc}") from exc
-        for pos, shape in comps:
-            if list(pos) != sorted(pos):
-                raise InvalidArrangement(f"positions {pos} are not sorted")
-            if not is_binary(shape):
-                raise InvalidArrangement(f"component shape {shape!r} is not binary")
-            if len(pos) != n_leaves(shape):
-                raise InvalidArrangement(
-                    f"{len(pos)} positions for a shape with {n_leaves(shape)} leaves"
-                )
+        try:
+            for pos, shape in comps:
+                if list(pos) != sorted(pos):
+                    raise InvalidArrangement(f"positions {pos} are not sorted")
+                if not is_binary(shape):
+                    raise InvalidArrangement(f"component shape {shape!r} is not binary")
+                if len(pos) != n_leaves(shape):
+                    raise InvalidArrangement(
+                        f"{len(pos)} positions for a shape with {n_leaves(shape)} leaves"
+                    )
+        except RecursionError:
+            raise InvalidArrangement("a component shape is nested past the recursion limit") from None
         self._init_raw(comps, part)
 
     def _init_raw(self, comps: Sequence[tuple], part: NoncrossingPartition | None) -> None:

@@ -25,7 +25,6 @@ from nckit.cumulants import (
     _coarsenings,
     _first_block,
     _lagrange_entries,
-    _linear_extension,
     _mu_top_column,
     _tree_column,
     boolean_cumulants,
@@ -176,7 +175,7 @@ def first_block_witness(n):
     """
     ms = [Polynomial.from_variable(moment(k)) for k in range(1, n + 1)]
     ds = [Polynomial.from_variable(delta(k)) for k in range(1, n + 1)]
-    return _first_block(ms, ds, True, Polynomial.one())
+    return _first_block(ms, ds, True)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +217,13 @@ def test_builders_validate_n():
             cumulants_from_moments(0, method)
     with pytest.raises(ValueError):
         cumulants_from_moments(3, "secret")
+    # a bool is not a size, and a float used to reach range() as a bare TypeError
+    for n in (True, False, 2.0, Fraction(3), "3", None):
+        with pytest.raises(TypeError, match="n must be an int"):
+            moments_from_cumulants(n)
+        for method in CUMULANT_METHODS:
+            with pytest.raises(TypeError, match="n must be an int"):
+                cumulants_from_moments(n, method)
 
 
 # -- table object ------------------------------------------------------------
@@ -275,9 +281,14 @@ def test_table_rejects_nontriangular_entries():
 
 # -- inverse column ----------------------------------------------------------
 
+def linear_extension(n):
+    """NC(n) finer before coarser, as the mobius route orders it."""
+    return [p for p, _ in _mu_top_column(n)]
+
+
 def test_zeta_matrix_unitriangular():
     for n in range(1, 6):
-        parts = _linear_extension(n)
+        parts = linear_extension(n)
         for i, p in enumerate(parts):
             assert zeta(p, p) == 1
             for j, q in enumerate(parts):
@@ -299,7 +310,7 @@ def test_mu_column_inverts_zeta():
 def mu_top_column_by_scan(n):
     """The top column by back-substitution over every later partition,
     keeping those above p by ``leq``."""
-    parts = _linear_extension(n)
+    parts = linear_extension(n)
     values = {parts[-1]: Polynomial.one()}
     for i in range(len(parts) - 2, -1, -1):
         p = parts[i]
@@ -316,8 +327,8 @@ def test_mu_column_matches_leq_scan():
 
 def test_coarsenings_are_the_up_sets():
     for n in range(1, 8):
-        parts = _linear_extension(n)
-        for p, up in zip(parts, _coarsenings(n)):
+        parts = linear_extension(n)
+        for p, up in zip(parts, _coarsenings(parts)):
             above = {j for j, q in enumerate(parts) if leq(p, q)}
             assert {j for j in range(len(parts)) if up >> j & 1} == above, p
 

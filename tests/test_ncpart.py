@@ -1,8 +1,12 @@
 """Noncrossing partition combinatorics: enumeration, weights, complements, zeta."""
 
+from itertools import chain, combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nckit import ncpart
+from nckit.cumulants import _tree_column, psi
 from nckit.poly import Polynomial, delta, poly_product
 from nckit.ncpart import (
     GroundMismatch,
@@ -30,6 +34,7 @@ from nckit.ncpart import (
     zeta_c,
     zeta_c_closed,
 )
+from nckit.trees import enumerate_arrangements, enumerate_prime, eta, partition_of, phi
 
 NC = NoncrossingPartition.parse
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -446,3 +451,55 @@ def test_zeta_c_support():
             if not leq(a, b):
                 assert zeta_c(a, b) == 0
             assert zeta_c(a, coarsest(5)) != 0 or a.block_count == 0
+
+
+# -- the canonical-blocks contract -------------------------------------------
+
+def internal_partitions():
+    """Every partition the package builds on its trusted path, which stores
+    the blocks as given: the producers must emit them canonically."""
+    for n in range(8):
+        yield from enumerate_nc(n)
+        yield from enumerate_interval(n)
+        for p in enumerate_nc(n):
+            yield kreweras(p)
+            yield kreweras_inv(p)
+            yield smallest_interval_above(p)
+    for n in range(1, 7):
+        yield finest(n)
+        yield coarsest(n)
+        for p in enumerate_nc(n):
+            for r in range(1, p.block_count + 1):
+                for chosen in combinations(p.blocks, r):
+                    sub = restrict(p, [x for b in chosen for x in b])
+                    yield sub
+                    yield standardize(sub)
+        yield from map(eta, enumerate_prime(n))
+        yield from (p for p, _ in _tree_column(n))
+    for n in range(1, 6):
+        yield from (partition_of(phi(t)) for t in enumerate_prime(n))
+        yield from map(partition_of, enumerate_arrangements(n))
+        for rho in enumerate_nc(n):
+            if rho.block_count > 1:
+                dual = kreweras_inv(rho)
+                for a in enumerate_arrangements(n):
+                    if leq(partition_of(a), dual):
+                        yield partition_of(psi(a, rho))
+
+
+def test_internal_producers_emit_canonical_blocks(monkeypatch):
+    # kreweras_inv hands its rotation to kreweras, whose cache compares blocks
+    rotations = []
+    monkeypatch.setattr(ncpart, "kreweras", lambda p: rotations.append(p) or kreweras(p))
+    for n in range(8):
+        for p in enumerate_nc(n):
+            kreweras_inv.__wrapped__(p)
+    assert len(rotations) == sum(len(enumerate_nc(n)) for n in range(8))
+    count = 0
+    for p in chain(internal_partitions(), rotations):
+        assert all(type(b) is tuple and list(b) == sorted(b) for b in p.blocks), p
+        assert p.blocks == tuple(sorted(p.blocks)), p
+        validated = NoncrossingPartition(p.blocks, p.ground)
+        assert p == validated and hash(p) == hash(validated), p
+        count += 1
+    assert count > 5000  # the producers above did run

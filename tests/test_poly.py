@@ -116,6 +116,9 @@ def test_constructor_validates_each_monomial():
     for bad in ((("x", 1),), ((1, 1),), ((M1, 1), ("M1", 2))):
         with pytest.raises(TypeError):
             Polynomial({bad: 1})
+    for bad in (5, None, (5,), ((M1,),), ((M1, 1, 2),), "ab", Fraction(1)):
+        with pytest.raises(TypeError, match=r"iterable of \(Variable, exponent\) pairs"):
+            Polynomial({bad: 1})  # not the bare unpacking error
     for exp in (0, -1, 2**31, True, Fraction(1), "1", None):
         with pytest.raises(ValueError):
             Polynomial({((M1, exp),): 1})
@@ -123,6 +126,12 @@ def test_constructor_validates_each_monomial():
         Polynomial({((M1, 2**30), (M1, 2**30)): 1})
     assert Polynomial({((M1, 1), (C1, 2), (M1, 2)): 3}) == P("3*M1^3*C1^2")
     assert Polynomial({((M2, 1), (M1, 1)): 2, ((M1, 1), (M2, 1)): -2}).is_zero
+
+
+@pytest.mark.parametrize("terms", [5, 0, "", [((), 1)], ((), 1), Fraction(1)])
+def test_constructor_takes_only_a_mapping(terms):
+    with pytest.raises(TypeError, match="polynomial terms must be a mapping"):
+        Polynomial(terms)
 
 
 def test_exponent_cap():
@@ -216,8 +225,9 @@ def test_pow_small_cases():
     p = Polynomial.from_variable(C1) + 1
     assert p ** 0 == 1
     assert p ** 2 == P("1*C1^2 + 2*C1 + 1")
-    with pytest.raises(ValueError):
-        p ** -1
+    for exp in (-1, True, False, 2.0):  # bools are not exponents, as in _pack
+        with pytest.raises(ValueError, match="nonnegative integer exponent"):
+            p ** exp
 
 
 def test_pow_squares(monkeypatch):

@@ -247,6 +247,15 @@ def test_power_zero_window():
     assert (f ** -1) == f.recip()
 
 
+@pytest.mark.parametrize("k", [True, False, 2.0])
+def test_power_rejects_bool_and_float_exponents(k):
+    f = standard_series("M", 4)  # f ** True used to return f
+    with pytest.raises(TypeError, match="series powers must be integers"):
+        f ** k
+    with pytest.raises(TypeError, match="series powers must be integers"):
+        f.power(k)
+
+
 def power_by_products(f, k):
     """f^k as |k| - 1 successive products of f or of its reciprocal."""
     if k == 0:

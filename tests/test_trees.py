@@ -1,6 +1,7 @@
 """Tests for plane trees, their partition map, and noncrossing arrangements."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +99,25 @@ def test_tree_json_rejects_bad_encodings():
         tree_from_json("leaf")
     with pytest.raises(ValueError):
         tree_from_json([0, [0]])
+
+
+def left_comb(depth):
+    """A left comb with depth + 2 leaves, and its JSON encoding."""
+    shape = reduce(lambda x, _: (x, LEAF), range(depth), CHERRY)
+    return shape, reduce(lambda x, _: [x, 0], range(depth), [0, 0])
+
+
+def test_tree_json_rejects_nesting_past_the_recursion_limit():
+    with pytest.raises(ValueError, match="nested past the recursion limit"):
+        tree_from_json(left_comb(5000)[1])
+    shape, encoding = left_comb(50)
+    assert tree_from_json(encoding) == shape
+
+
+def test_arrangement_rejects_shapes_nested_past_the_recursion_limit():
+    with pytest.raises(InvalidArrangement, match="nested past the recursion limit"):
+        Arrangement([(tuple(range(1, 5003)), left_comb(5000)[0])])
+    assert Arrangement([(tuple(range(1, 53)), left_comb(50)[0])]).size == 52
 
 
 @pytest.mark.parametrize("zero", [False, 0.0, Fraction(0)])

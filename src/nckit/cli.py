@@ -45,7 +45,7 @@ from .ncpart import (
     zeta_c,
     zeta_c_closed,
 )
-from .poly import DELTA, Polynomial, cumulant, moment
+from .poly import DELTA, Polynomial, _shown, cumulant, moment
 from .series import standard_series
 from .trees import (
     enumerate_arrangements,
@@ -75,7 +75,7 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -165,7 +165,7 @@ def _resolve_cap(kind: str, no_cap: bool) -> int | None:
         try:
             cap = int(env)
         except ValueError:
-            raise _UsageError(f"NCKIT_MAX_N is not an integer: {env!r}") from None
+            raise _UsageError(f"NCKIT_MAX_N is not an integer: {_shown(env)}") from None
         if cap < 1:
             raise _UsageError("NCKIT_MAX_N must be >= 1")
         return cap
@@ -176,7 +176,7 @@ def _cmd_enumerate(args) -> int:
     cap = _resolve_cap(args.kind, args.unsafe_no_cap)
     if cap is not None and args.n > cap:
         raise _UsageError(
-            f"n={args.n} exceeds the cap {cap} for {args.kind!r}"
+            f"n={args.n} exceeds the cap {cap} for {_shown(args.kind)}"
             " (raise NCKIT_MAX_N or pass --unsafe-no-cap)"
         )
     n = args.n

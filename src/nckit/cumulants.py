@@ -16,8 +16,9 @@ table read by ``cumulants_from_moments``:
   one accumulator; the default route;
 * ``trees``    -- a signed sum over prime plane trees, each contributing the
   moment product of its partition times its weight; the trees of size n are
-  summed once into one column of (partition, signed weight) pairs, by one
-  memoised walk over the subtrees they share;
+  summed once into one column of (partition, signed weight) pairs, each read
+  through ``trees._summary`` (blocks as leaf masks), memoised over the
+  subtrees they share;
 * ``lagrange`` -- residue extraction from a Laurent-series identity that
   involves a Hadamard product, in one pass with a running power of
   1/(M⊙Δ).
@@ -28,8 +29,9 @@ them all to 0 to boolean cumulants.  Numeric conversion accepts only exact
 scalars (ints and Fractions) and raises ``TypeError`` on anything else.
 
 The mobius and trees routes share only ``poly.shift_sum`` (each column value
-is shifted by its partition's moment product), no lattice or tree code, so
-their agreement is a real cross-check.
+is shifted by its partition's moment product) and the set-bit walk
+``ncpart._bits``, no lattice or tree code, so their agreement is a real
+cross-check.
 
 The second half of the module is verification apparatus for the top column:
 its entries ``mu_column_via_trees``, read from the same tree column, their
@@ -43,11 +45,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .ncpart import (
     NoncrossingPartition,
-    _delta_key,
+    _bits,
     _require_standard_ground,
     _zeta_keys,
     enumerate_nc,
@@ -55,12 +57,13 @@ from .ncpart import (
     kreweras_inv,
     leq,
     restrict,
-    zeta,
     zeta_c,
 )
 from .poly import (
     DELTA,
     Polynomial,
+    _require_size,
+    _shown,
     as_fraction,
     cumulant,
     delta,
@@ -74,6 +77,8 @@ from .poly import (
 from .series import standard_series
 from .trees import (
     Arrangement,
+    _leaf_partition,
+    _summary,
     cover_counts,
     enumerate_arrangements,
     enumerate_prime,
@@ -155,14 +160,15 @@ class TransformTable:
     __slots__ = ("n", "direction", "method", "flavor", "entries")
 
     def __init__(self, n, direction, method, entries, flavor=FLAVOR_DELTA):
+        _require_size(n, 1)
         if direction not in _DIRECTIONS:
-            raise ValueError(f"unknown direction {direction!r}")
+            raise ValueError(f"unknown direction {_shown(direction)}")
         if method not in _METHODS:
-            raise ValueError(f"unknown method {method!r}")
+            raise ValueError(f"unknown method {_shown(method)}")
         if flavor not in _FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
+            raise ValueError(f"unknown flavor {_shown(flavor)}")
         entries = tuple(entries)
-        if len(entries) != n or n < 1:
+        if len(entries) != n:
             raise ValueError(f"expected {n} entries, got {len(entries)}")
         for k, entry in enumerate(entries, start=1):
             bad = [v for v in entry.variables() if v.index > k]
@@ -280,10 +286,7 @@ def _moment_entries(n: int) -> tuple:
 
 def moments_from_cumulants(n: int) -> TransformTable:
     """Each moment as the weighted sum of cumulant products over the lattice."""
-    if type(n) is not int:
-        raise TypeError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_size(n, 1)
     return TransformTable(n, DIRECTION_MOMENTS, METHOD_YOSHIDA, _moment_entries(n))
 
 
@@ -303,14 +306,6 @@ def _coarsenings(parts: list) -> list:
             merged = tuple(sorted(rest + [tuple(sorted(a + b))]))
             up[i] |= up[index.get(merged, i)]  # a crossing merge is not indexed
     return up
-
-
-def _bits(mask: int):
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _mu_top_column(n: int) -> tuple:
@@ -335,43 +330,21 @@ def _mu_top_column(n: int) -> tuple:
 def _tree_column(n: int) -> tuple:
     """Pairs (partition, signed weight of the prime trees mapping to it).
 
-    One memoised walk: the prime trees of size n share subtree objects, so
-    each distinct subtree is summarised once, by identity.  A tree's blocks
-    are the partition ``eta`` reads off it and its key off the leftmost branch
-    is the weight ``weight_tree`` reads; one partition is built per block
-    tuple, with sign (-1)^(blocks - 1).
+    Each prime tree is read through ``trees._summary``, memoised by identity
+    over the subtrees the trees of size n share: its blocks are the partition
+    ``eta`` reads off it and its key off the leftmost branch is the weight
+    ``weight_tree`` reads; one partition is built per block tuple, with sign
+    (-1)^(blocks - 1).
     """
     memo: dict[int, tuple] = {}  # the enumerated trees keep every id alive
-
-    def summary(node):
-        # (leaves, blocks, d key of every vertex, d key off the leftmost branch)
-        if not node:
-            return 1, (), 0, 0
-        kids = []
-        for c in node:
-            found = memo.get(id(c))
-            if found is None:
-                found = memo[id(c)] = summary(c)
-            kids.append(found)
-        cuts = list(accumulate(k[0] for k in kids))
-        # the vertex's own block sorts after its first child's blocks and
-        # before the others, whose elements all exceed that child's leaves
-        blocks = [*kids[0][1], tuple(cuts[:-1])]
-        for (_, inner, _, _), offset in zip(kids[1:], cuts):
-            blocks += [tuple(x + offset for x in b) for b in inner]
-        rest = sum(k[2] for k in kids[1:])
-        every = _delta_key(len(node) - 1) + kids[0][2] + rest
-        return cuts[-1], tuple(blocks), every, kids[0][3] + rest
-
     groups: dict[tuple, list] = {}
     for t in enumerate_prime(n):
-        _, blocks, _, key = summary(t)
+        _, blocks, _, key = _summary(t, memo)
         groups.setdefault(blocks, []).append(key)
     column = []
     for blocks, keys in groups.items():
         sign = Polynomial.constant((-1) ** (len(blocks) - 1))
-        p = NoncrossingPartition._trusted(blocks, range(1, n + 1))
-        column.append((p, shift_sum((key, sign) for key in keys)))
+        column.append((_leaf_partition(blocks, n), shift_sum((key, sign) for key in keys)))
     return tuple(column)
 
 
@@ -419,12 +392,9 @@ def cumulants_from_moments(n: int, method: str = DEFAULT_METHOD) -> TransformTab
         entries = _CUMULANT_ENTRIES[method]
     except KeyError:
         raise ValueError(
-            f"unknown cumulant method {method!r}; expected one of {CUMULANT_METHODS}"
+            f"unknown cumulant method {_shown(method)}; expected one of {CUMULANT_METHODS}"
         ) from None
-    if type(n) is not int:
-        raise TypeError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_size(n, 1)
     return TransformTable(n, DIRECTION_CUMULANTS, method, entries(n))
 
 
@@ -443,7 +413,7 @@ def specialize_table(table: TransformTable, flavor: str) -> TransformTable:
     if flavor == FLAVOR_DELTA:
         return table
     if flavor not in _FLAVOR_VALUES:
-        raise ValueError(f"unknown flavor {flavor!r}")
+        raise ValueError(f"unknown flavor {_shown(flavor)}")
     value = _FLAVOR_VALUES[flavor]
     entries = [specialize_family(entry, DELTA, value) for entry in table.entries]
     return TransformTable(table.n, table.direction, table.method, entries, flavor)
@@ -468,7 +438,7 @@ def numeric_convert(values, deltas, direction: str) -> list:
     is cached; the cost grows as n^3 operations on Fractions.
     """
     if direction not in _DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+        raise ValueError(f"unknown direction {_shown(direction)}")
     values = [as_fraction(x) for x in values]
     deltas = [as_fraction(x) for x in deltas]
     if len(values) != len(deltas):
@@ -482,9 +452,8 @@ def numeric_convert(values, deltas, direction: str) -> list:
 
 def w_rho(rho: NoncrossingPartition) -> Polynomial:
     """Weighted accumulation of the tree column above rho: 1 at the top, else 0."""
-    return poly_sum(
-        zeta(rho, p) * val for p, val in _tree_column(rho.size) if leq(rho, p)
-    )
+    above = [(p, val) for p, val in _tree_column(rho.size) if leq(rho, p)]
+    return shift_sum(zip(_zeta_keys(rho, [p for p, _ in above]), [val for _, val in above]))
 
 
 def w_rho_via_arrangements(rho: NoncrossingPartition) -> Polynomial:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
-from .poly import Polynomial, delta, variable_key
+from .poly import Polynomial, _require_size, _shown, delta, variable_key
 
 
 class NotAPartition(Exception):
@@ -63,7 +63,7 @@ class NoncrossingPartition:
             raise NotAPartition("the blocks, each block and the ground must be iterable") from None
         for x in chain(*clean, g or ()):  # before any sort compares two elements
             if not isinstance(x, int) or isinstance(x, bool):
-                raise NotAPartition(f"element {x!r} is not an integer")
+                raise NotAPartition(f"element {_shown(x)} is not an integer")
         clean = [tuple(sorted(b)) for b in clean]
         seen: set[int] = set()
         for b in clean:
@@ -149,28 +149,30 @@ class NoncrossingPartition:
         Raises TypeError when text is not a str, NotAPartition when it does
         not spell a noncrossing partition."""
         if not isinstance(text, str):
-            raise TypeError(f"not partition text: {text!r}")
+            raise TypeError(f"not partition text: {_shown(text)}")
         s = text.strip()
         if not s:
             raise NotAPartition("empty partition text")
         blocks = []
         for chunk in s.split("|"):
             if not chunk:
-                raise NotAPartition(f"empty block in {text!r}")
+                raise NotAPartition(f"empty block in {_shown(text)}")
             block = [_DIGITS.find(ch.upper()) for ch in chunk]
             if min(block) < 1:
-                raise NotAPartition(f"block {chunk!r} is not made of digits 1-9, A-Z")
+                raise NotAPartition(f"block {_shown(chunk)} is not made of digits 1-9, A-Z")
             blocks.append(block)
         return cls(blocks)
 
 
 def finest(n: int) -> NoncrossingPartition:
     """The all-singletons partition of 1..n."""
+    _require_size(n, 0)
     return NoncrossingPartition._trusted([(i,) for i in range(1, n + 1)], range(1, n + 1))
 
 
 def coarsest(n: int) -> NoncrossingPartition:
     """The one-block partition of 1..n."""
+    _require_size(n, 0)
     return NoncrossingPartition._trusted([tuple(range(1, n + 1))], range(1, n + 1))
 
 
@@ -183,15 +185,14 @@ def _canonical(n: int, block_tuples: Iterable[tuple]) -> tuple:
     return tuple(NoncrossingPartition._trusted(b, ground) for b in sorted(block_tuples))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # True is not a size, though it hashes as 1
 def enumerate_nc(n: int) -> tuple:
     """All noncrossing partitions of 1..n, canonically sorted (Catalan many).
 
     Split at the first element: the block of lo is {lo} alone, or {lo} joined
     to the block of its next member j, with lo+1..j-1 partitioned on its own.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_size(n, 0)
     parts = {}  # (lo, hi) -> the partitions of lo..hi as block tuples
     for lo in range(n + 1, 0, -1):
         parts[lo, lo - 1] = [()]
@@ -215,12 +216,11 @@ def enumerate_set_partitions(n: int) -> Iterator[list]:
         yield [list(b) for b in smaller] + [[n]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_interval(n: int) -> tuple:
     """All interval partitions of 1..n, canonically sorted (2^(n-1) many): a run
     1..k followed by an interval partition of k+1..n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_size(n, 0)
     runs = {n + 1: [()]}  # lo -> the interval partitions of lo..n as block tuples
     for lo in range(n, 0, -1):
         runs[lo] = [
@@ -242,6 +242,14 @@ def arcs(p: NoncrossingPartition) -> tuple:
 @lru_cache(maxsize=None)
 def _delta_key(m: int) -> int:
     return variable_key(delta(m))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _arc_spans(p: NoncrossingPartition) -> list:

@@ -78,11 +78,28 @@ def cumulant(i: int) -> Variable:
     return _make_var(CUMULANT, i)
 
 
+def _shown(x) -> str:
+    """repr(x) for an error message, or a stand-in naming its type when x is
+    nested past the interpreter's recursion limit."""
+    try:
+        return repr(x)
+    except RecursionError:
+        return f"<{type(x).__name__} nested past the recursion limit>"
+
+
+def _require_size(n, least: int, name: str = "n") -> None:
+    """TypeError unless n is an int (not a bool), ValueError below least."""
+    if type(n) is not int:
+        raise TypeError(f"{name} must be an int, got {_shown(n)}")
+    if n < least:
+        raise ValueError(f"need {name} >= {least}")
+
+
 def _make_var(family: int, index: int) -> Variable:
     if family not in _FAMILY_SYMBOL:
-        raise ValueError(f"unknown variable family {family!r}")
+        raise ValueError(f"unknown variable family {_shown(family)}")
     if type(index) is not int or index < 1:
-        raise ValueError(f"variable index must be a positive integer, got {index!r}")
+        raise ValueError(f"variable index must be a positive integer, got {_shown(index)}")
     return Variable(family, index)
 
 
@@ -123,9 +140,9 @@ def _pack(mono) -> int:
     key = 0
     for var, exp in pairs:
         if not isinstance(var, Variable):
-            raise TypeError(f"not a Variable: {var!r}")
+            raise TypeError(f"not a Variable: {_shown(var)}")
         if type(exp) is not int or not 1 <= exp <= _MAX_EXPONENT:
-            raise ValueError(f"exponent must be an int in 1..{_MAX_EXPONENT}, got {exp!r}")
+            raise ValueError(f"exponent must be an int in 1..{_MAX_EXPONENT}, got {_shown(exp)}")
         key += exp * variable_key(var)
         if key & _GUARD:
             raise ValueError(f"exponent of {var.symbol()} exceeds {_MAX_EXPONENT}")
@@ -269,7 +286,7 @@ class Polynomial:
         for v, x in assignment.items():
             p = as_polynomial(x)
             if p is NotImplemented:
-                raise TypeError(f"cannot substitute {x!r} for {v.symbol()}")
+                raise TypeError(f"cannot substitute {_shown(x)} for {v.symbol()}")
             values[v] = p
         return poly_sum(
             coeff * poly_product(values[var] ** exp for var, exp in mono)
@@ -345,7 +362,7 @@ class Polynomial:
         Raises TypeError when text is not a str, ValueError when it is not
         canonical polynomial text."""
         if not isinstance(text, str):
-            raise TypeError(f"not polynomial text: {text!r}")
+            raise TypeError(f"not polynomial text: {_shown(text)}")
         s = text.strip()
         if not s:
             raise ValueError("empty polynomial text")
@@ -357,13 +374,13 @@ class Polynomial:
         for sign, chunk in zip(parts[1::2], parts[2::2]):
             factors = chunk.split("*")
             if not _RATIONAL_RE.fullmatch(factors[0]):
-                raise ValueError(f"term {chunk!r} must start with a rational coefficient")
+                raise ValueError(f"term {_shown(chunk)} must start with a rational coefficient")
             coeff = Fraction(factors[0]) * (-1 if sign == "-" else 1)
             mono = []
             for factor in factors[1:]:
                 m = _FACTOR_RE.fullmatch(factor)
                 if not m:
-                    raise ValueError(f"bad variable factor {factor!r}")
+                    raise ValueError(f"bad variable factor {_shown(factor)}")
                 var = _make_var(_SYMBOL_FAMILY[m.group(1)], int(m.group(2)))
                 mono.append((var, int(m.group(3)) if m.group(3) else 1))
             terms.append((mono, coeff))
@@ -379,7 +396,7 @@ class Polynomial:
 def as_fraction(x) -> Fraction:
     """An int (not a bool) or a Fraction as a Fraction; TypeError otherwise."""
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"not an exact rational: {x!r}")
+        raise TypeError(f"not an exact rational: {_shown(x)}")
     return Fraction(x)
 
 
@@ -402,10 +419,17 @@ def as_polynomial(x) -> Polynomial:
     return NotImplemented
 
 
+def _ring_item(x) -> Polynomial:
+    p = as_polynomial(x)
+    if p is NotImplemented:
+        raise TypeError(f"not a polynomial or exact rational: {_shown(x)}")
+    return p
+
+
 def poly_product(factors: Iterable) -> Polynomial:
     result = Polynomial.one()
     for f in factors:
-        result = result * as_polynomial(f)
+        result = result * _ring_item(f)
     return result
 
 
@@ -423,7 +447,7 @@ def power_by_squaring(base, exp: int):
 
 
 def poly_sum(terms: Iterable) -> Polynomial:
-    return shift_sum((0, as_polynomial(t)) for t in terms)
+    return shift_sum((0, _ring_item(t)) for t in terms)
 
 
 def specialize_family(p: Polynomial, family: int, value: int) -> Polynomial:
@@ -431,7 +455,7 @@ def specialize_family(p: Polynomial, family: int, value: int) -> Polynomial:
     the terms: 1 clears the family's fields of each key and merges the terms
     that meet, 0 keeps only the keys with no field of the family."""
     if type(value) is not int or value not in (0, 1):
-        raise ValueError(f"a family can only be set to 0 or 1, got {value!r}")
+        raise ValueError(f"a family can only be set to 0 or 1, got {_shown(value)}")
     fields = _MASKS.get(family, 0)
     if not value:
         return Polynomial._raw({key: c for key, c in p._terms.items() if not key & fields})

@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import (
-    Polynomial, Variable, _coefficient, as_polynomial, cumulant, delta, dot, moment,
-    power_by_squaring,
+    Polynomial, Variable, _coefficient, _require_size, _shown, as_polynomial, cumulant,
+    delta, dot, moment, power_by_squaring,
 )
 
 
@@ -58,7 +58,7 @@ class LaurentSeries:
         """Raises TypeError for a bound that is not an int or a coefficient outside
         the ring, ValueError for a window that is empty or does not fit coeffs."""
         if type(low) is not int or type(order) not in (int, type(None)):
-            raise TypeError(f"window bounds must be ints, got [{low!r}, {order!r})")
+            raise TypeError(f"window bounds must be ints, got [{_shown(low)}, {_shown(order)})")
         cs = [_as_coefficient(c) for c in coeffs]
         if order is None:
             order = low + len(cs)
@@ -278,7 +278,7 @@ def _as_coefficient(c):
         return Polynomial.from_variable(c)
     if isinstance(c, (int, Fraction, Polynomial)) and not isinstance(c, bool):
         return c
-    raise TypeError(f"series coefficients must be polynomials or rationals, got {c!r}")
+    raise TypeError(f"series coefficients must be polynomials or rationals, got {_shown(c)}")
 
 
 # -- constructors ------------------------------------------------------------
@@ -319,7 +319,7 @@ def standard_series(kind: str, order: int) -> LaurentSeries:
     B     boolean cumulants of the moment sequence, likewise in M variables
     """
     if kind not in _SERIES_KINDS:
-        raise ValueError(f"unknown series kind {kind!r}; expected one of {_SERIES_KINDS}")
+        raise ValueError(f"unknown series kind {_shown(kind)}; expected one of {_SERIES_KINDS}")
     if kind == "M" or kind == "Delta":
         if order < 2:
             raise ValueError("need order >= 2 to hold the leading z term")
@@ -352,8 +352,7 @@ def lagrange_coeff_inverse(f: LaurentSeries, n: int):
     power of f are needed.  Requires n >= 1 and enough truncation order
     (order > n), else OutOfTruncationRange.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"coefficient index must be a positive integer, got {n!r}")
+    _require_size(n, 1)
     if f.is_zero or f.low != 1:
         raise NotInvertible(
             f"compositional inverse needs valuation exactly 1, got {f.low}"

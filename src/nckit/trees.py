@@ -19,8 +19,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
-from .ncpart import NoncrossingPartition, NotAPartition, _delta_key, enumerate_nc
-from .poly import Polynomial
+from .ncpart import NoncrossingPartition, NotAPartition, _bits, _delta_key, enumerate_nc
+from .poly import Polynomial, _require_size, _shown
 
 
 class NotPrime(Exception):
@@ -70,7 +70,7 @@ def tree_from_json(obj) -> Tree:
             return tuple(tree_from_json(c) for c in obj)
         except RecursionError:
             raise ValueError("tree encoding nested past the recursion limit") from None
-    raise ValueError(f"bad tree encoding: {obj!r}")
+    raise ValueError(f"bad tree encoding: {_shown(obj)}")
 
 
 # -- enumeration -------------------------------------------------------------
@@ -94,8 +94,7 @@ def _trees_with_leaves(m: int) -> tuple:
 def enumerate_schroder(n: int) -> tuple:
     """All no-unary-vertex plane trees with n+1 leaves, in canonical order,
     built by splitting off each vertex's first child."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_size(n, 1)
     return _trees_with_leaves(n + 1)
 
 
@@ -104,20 +103,49 @@ def is_prime(t: Tree) -> bool:
     return bool(t) and t[-1] == LEAF
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # True is not a size, though it hashes as 1
 def enumerate_prime(n: int) -> tuple:
     return tuple(t for t in enumerate_schroder(n) if is_prime(t))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_binary(m: int) -> tuple:
     """Full binary trees with m leaves, in canonical order, read off the Schroder trees."""
-    if m < 1:
-        raise ValueError("need m >= 1")
+    _require_size(m, 1, "m")
     return tuple(filter(is_binary, _trees_with_leaves(m)))
 
 
 # -- the partition of a prime tree ------------------------------------------
+
+def _summary(node: Tree, memo: dict) -> tuple:
+    """(leaves, blocks, d key of every vertex, d key off the leftmost branch).
+
+    The blocks are those ``eta`` reads off the subtree, as masks over its
+    leaves (bit i for leaf i + 1) in canonical order, so a child's blocks move
+    past its left siblings' leaves by one shift each.  ``memo`` maps id(subtree)
+    to its summary; the caller keeps the subtrees alive.
+    """
+    if not node:
+        return 1, (), 0, 0
+    kids = [memo.get(id(c)) or memo.setdefault(id(c), _summary(c, memo)) for c in node]
+    offset, first, every, left = kids[0]
+    own, rest, shifted = 0, 0, []
+    for leaves, inner, key, _ in kids[1:]:
+        own |= 1 << (offset - 1)  # the last leaf of the child before
+        shifted += [m << offset for m in inner]
+        rest += key
+        offset += leaves
+    every += _delta_key(len(node) - 1) + rest
+    # the vertex's own block sorts after its first child's blocks and
+    # before the others, whose elements all exceed that child's leaves
+    return offset, (*first, own, *shifted), every, left + rest
+
+
+def _leaf_partition(blocks: tuple, n: int) -> NoncrossingPartition:
+    """The partition of 1..n whose blocks are the leaf masks of a summary
+    (shifted up one, bit i + 1 stands for leaf i + 1)."""
+    return NoncrossingPartition._trusted([tuple(_bits(m << 1)) for m in blocks], range(1, n + 1))
+
 
 def eta(t: Tree) -> NoncrossingPartition:
     """Noncrossing partition read off a prime tree with n+1 leaves.
@@ -128,32 +156,13 @@ def eta(t: Tree) -> NoncrossingPartition:
     """
     if not is_prime(t):
         raise NotPrime("the partition map needs a prime tree")
-    n = n_leaves(t) - 1
-    blocks: list[tuple] = []
-    counter = [0]
-
-    def walk(node: Tree) -> int:
-        if not node:
-            counter[0] += 1
-            return counter[0]
-        maxes = [walk(c) for c in node]
-        blocks.append(tuple(maxes[:-1]))
-        return maxes[-1]
-
-    walk(t)
-    blocks.sort()
-    return NoncrossingPartition._trusted(blocks, range(1, n + 1))
+    leaves, blocks, _, _ = _summary(t, {})
+    return _leaf_partition(blocks, leaves - 1)
 
 
 def weight_tree(t: Tree) -> Polynomial:
     """Product of d_{deg(v)-1} over internal vertices off the leftmost branch."""
-    def key(node: Tree, on_left_branch: bool) -> int:
-        if not node:
-            return 0
-        own = 0 if on_left_branch else _delta_key(len(node) - 1)
-        return own + sum(key(c, on_left_branch and i == 0) for i, c in enumerate(node))
-
-    return Polynomial._raw({key(t, True): 1})
+    return Polynomial._raw({_summary(t, {})[3]: 1})
 
 
 # -- arrangements ------------------------------------------------------------
@@ -185,7 +194,7 @@ class Arrangement:
                 if list(pos) != sorted(pos):
                     raise InvalidArrangement(f"positions {pos} are not sorted")
                 if not is_binary(shape):
-                    raise InvalidArrangement(f"component shape {shape!r} is not binary")
+                    raise InvalidArrangement(f"component shape {_shown(shape)} is not binary")
                 if len(pos) != n_leaves(shape):
                     raise InvalidArrangement(
                         f"{len(pos)} positions for a shape with {n_leaves(shape)} leaves"
@@ -350,7 +359,7 @@ def phi_inv(a: Arrangement) -> Tree:
     return tuple(build(ci) for ci in inside(0, a.size + 1)) + (LEAF,)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_arrangements(n: int) -> tuple:
     """Independent enumeration: one noncrossing partition plus one binary shape
     per block; used to cross-check the prime-tree bijection."""

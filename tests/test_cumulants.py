@@ -69,11 +69,11 @@ from nckit.trees import (
     Arrangement,
     enumerate_arrangements,
     enumerate_prime,
-    eta,
     partition_of,
     weight_arrangement,
-    weight_tree,
 )
+
+from test_trees import eta_by_walk, weight_tree_by_walk
 
 GOLDEN_MOMENTS = {
     1: "1*C1",
@@ -339,10 +339,13 @@ def test_mu_n2_explicit():
 
 def tree_column_by_tree(n):
     """The tree column one prime tree at a time: each tree's weight goes to
-    the partition ``eta`` reads off it, with sign (-1)^(blocks - 1)."""
+    the partition it maps to, with sign (-1)^(blocks - 1).  Both are read by
+    the test walks, since ``eta`` and ``weight_tree`` share the column's
+    subtree summary."""
     groups = {}
     for t in enumerate_prime(n):
-        groups.setdefault(eta(t), []).append(weight_tree(t))
+        p = NoncrossingPartition(eta_by_walk(t), range(1, n + 1))
+        groups.setdefault(p, []).append(weight_tree_by_walk(t))
     return {
         p: (-1) ** (p.block_count - 1) * poly_sum(weights)
         for p, weights in groups.items()
@@ -579,6 +582,19 @@ def test_forward_series_free_specialization():
 
 
 # -- cancellation apparatus --------------------------------------------------
+
+def w_rho_by_zeta(rho):
+    # the accumulation with one blockwise zeta polynomial per partition above rho
+    return poly_sum(
+        zeta(rho, p) * val for p, val in _tree_column(rho.size) if leq(rho, p)
+    )
+
+
+def test_w_rho_matches_the_zeta_products():
+    for n in range(1, 7):
+        for rho in enumerate_nc(n):
+            assert w_rho(rho) == w_rho_by_zeta(rho), rho
+
 
 def test_w_values():
     for n in range(1, 5):

@@ -13,6 +13,11 @@ in ``ncpart.py``, and ``_partition`` (the kept partition of an
 ``_GUARD`` and ``_MASKS`` (the variable slots, the guard bits and the family
 masks) in ``poly.py``.  Elsewhere such a name may be neither read nor written
 as an attribute, nor imported with ``from ... import``.
+
+A third lint keeps the caller's input out of ``repr`` in error messages: no
+f-string ``!r`` conversion inside a ``raise``, which would escape as a bare
+``RecursionError`` on input nested past the recursion limit.  Messages echo
+input through ``poly._shown`` instead.
 """
 
 import ast
@@ -148,3 +153,33 @@ def test_term_lint_catches_each_use():
     assert private_layout_uses(bad, "trees.py") == [
         "1: _terms", "2: _terms", "5: _masks", "5: _owner", *key_layout
     ]
+
+
+def repr_echoes_in_raises(source: str) -> list[int]:
+    """The line of each raise statement holding an f-string !r conversion."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+        and any(
+            isinstance(f, ast.FormattedValue) and f.conversion == ord("r")
+            for f in ast.walk(node)
+        )
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_raises_echo_input_through_shown(path):
+    assert repr_echoes_in_raises(path.read_text(encoding="utf-8")) == []
+
+
+def test_repr_lint_catches_each_raise():
+    bad = (
+        'raise ValueError(f"bad {x!r}")\n'
+        'raise ValueError(f"ok {_shown(x)} {x}")\n'
+        'message = f"not raised {x!r}"\n'
+        "raise TypeError(\n"
+        '    f"on a later line {x!r}"\n'
+        ")\n"
+    )
+    assert repr_echoes_in_raises(bad) == [1, 4]

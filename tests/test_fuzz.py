@@ -1,5 +1,7 @@
 """Each public constructor and parser raises only the classes its docstring
-names, on any input: Hypothesis draws nested junk of every basic type.
+names, on any input: Hypothesis draws nested junk of every basic type.  Every
+public entry point that echoes its input in an error message does so for input
+nested past the recursion limit too, and every size is an int from its least.
 
 Polynomial text is drawn with variable indices 1..3 only, because a new
 variable keeps its key slot for the rest of the process.
@@ -9,17 +11,49 @@ import re
 from fractions import Fraction
 from functools import reduce
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nckit.cumulants import cumulants_from_moments, moments_from_cumulants
-from nckit.ncpart import NoncrossingPartition, NotAPartition
-from nckit.poly import Polynomial, cumulant, delta, moment
-from nckit.series import LaurentSeries, standard_series
-from nckit.trees import Arrangement, InvalidArrangement, tree_from_json
+from nckit.cumulants import (
+    TransformTable,
+    cumulants_from_moments,
+    moments_from_cumulants,
+    numeric_convert,
+)
+from nckit.ncpart import (
+    NoncrossingPartition,
+    NotAPartition,
+    coarsest,
+    enumerate_interval,
+    enumerate_nc,
+    finest,
+)
+from nckit.poly import (
+    DELTA,
+    Polynomial,
+    as_fraction,
+    cumulant,
+    delta,
+    dot,
+    moment,
+    specialize_family,
+)
+from nckit.series import LaurentSeries, lagrange_coeff_inverse, standard_series
+from nckit.trees import (
+    Arrangement,
+    InvalidArrangement,
+    enumerate_arrangements,
+    enumerate_binary,
+    enumerate_prime,
+    enumerate_schroder,
+    tree_from_json,
+)
 
 
 DEEP_JSON = reduce(lambda x, _: [x, 0], range(5000), [0, 0])
 DEEP_COMB = reduce(lambda x, _: (x, ()), range(5000), ((), ()))  # a left comb, 5,002 leaves
+DEEP_LIST = reduce(lambda x, _: [x], range(5000), [])
+DEEP_TUPLE = reduce(lambda x, _: (x,), range(5000), ())
 
 scalars = (
     st.none()
@@ -77,6 +111,15 @@ calls = st.one_of(
 @example(("Polynomial", ({5: 1},)))
 @example(("LaurentSeries", ("a", [1])))
 @example(("LaurentSeries", (0, [1], True)))
+@example(("NoncrossingPartition", lambda: (DEEP_LIST,)))
+@example(("NoncrossingPartition", lambda: ([[DEEP_LIST]],)))
+@example(("NoncrossingPartition", lambda: ([(1,)], [DEEP_LIST])))
+@example(("NoncrossingPartition.parse", lambda: (DEEP_LIST,)))
+@example(("Polynomial", lambda: ({((DEEP_TUPLE, 1),): 1},)))
+@example(("Polynomial.parse", lambda: (DEEP_LIST,)))
+@example(("LaurentSeries", lambda: (0, [DEEP_LIST])))
+@example(("LaurentSeries", lambda: (DEEP_LIST, [1])))
+@example(("tree_from_json", lambda: ({0: DEEP_LIST},)))
 def test_constructors_raise_only_their_documented_errors(call):
     name, args = call
     if callable(args):  # a nesting too deep for Hypothesis to print
@@ -107,3 +150,69 @@ def test_sizes_and_exponents_are_ints(x):
         except error:
             continue
         raise AssertionError(f"{x!r} was accepted")
+
+
+M1 = Polynomial.parse("1*M1")
+
+# each public entry point that echoes an input in an error message: the call,
+# the input nested 5,000 deep, and the error its docstring names
+DEEP_CALLS = {
+    "NoncrossingPartition": (NoncrossingPartition, DEEP_LIST, NotAPartition),
+    "NoncrossingPartition block": (lambda x: NoncrossingPartition([[x]]), DEEP_LIST, NotAPartition),
+    "NoncrossingPartition ground": (
+        lambda x: NoncrossingPartition([(1,)], ground=[x]), DEEP_LIST, NotAPartition
+    ),
+    "NoncrossingPartition.parse": (NoncrossingPartition.parse, DEEP_LIST, TypeError),
+    "Polynomial.parse": (Polynomial.parse, DEEP_LIST, TypeError),
+    "Polynomial": (lambda t: Polynomial({((t, 1),): 1}), DEEP_TUPLE, TypeError),
+    "as_fraction": (as_fraction, DEEP_LIST, TypeError),
+    "delta": (delta, DEEP_LIST, ValueError),
+    "dot": (lambda x: dot([(x, 1)]), DEEP_LIST, TypeError),
+    "substitute": (lambda x: M1.substitute({moment(1): x}), DEEP_LIST, TypeError),
+    "specialize_family": (lambda x: specialize_family(M1, DELTA, x), DEEP_LIST, ValueError),
+    "LaurentSeries coefficient": (lambda x: LaurentSeries(0, [x]), DEEP_LIST, TypeError),
+    "LaurentSeries bound": (lambda x: LaurentSeries(x, [1]), DEEP_LIST, TypeError),
+    "standard_series": (lambda x: standard_series(x, 3), DEEP_LIST, ValueError),
+    "lagrange_coeff_inverse": (
+        lambda x: lagrange_coeff_inverse(standard_series("M", 4), x), DEEP_LIST, TypeError
+    ),
+    "tree_from_json": (lambda x: tree_from_json({0: x}), DEEP_LIST, ValueError),
+    "cumulants_from_moments": (cumulants_from_moments, DEEP_LIST, TypeError),
+    "moments_from_cumulants": (moments_from_cumulants, DEEP_LIST, TypeError),
+    "numeric_convert": (lambda x: numeric_convert([x], [1], "moments"), DEEP_LIST, TypeError),
+    "TransformTable": (lambda x: TransformTable(1, x, "mobius", [M1]), DEEP_LIST, ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_CALLS))
+def test_deep_input_is_echoed_past_the_recursion_limit(name):
+    call, deep, documented = DEEP_CALLS[name]
+    with pytest.raises(documented, match="nested past the recursion limit"):
+        call(deep)
+
+
+# each builder that takes a size, and the least size it accepts
+SIZED = {
+    "enumerate_nc": (enumerate_nc, 0),
+    "enumerate_interval": (enumerate_interval, 0),
+    "enumerate_arrangements": (enumerate_arrangements, 0),
+    "finest": (finest, 0),
+    "coarsest": (coarsest, 0),
+    "enumerate_schroder": (enumerate_schroder, 1),
+    "enumerate_prime": (enumerate_prime, 1),
+    "enumerate_binary": (enumerate_binary, 1),
+    "TransformTable": (lambda n: TransformTable(n, "moments", "yoshida", [M1]), 1),
+    "lagrange_coeff_inverse": (lambda n: lagrange_coeff_inverse(standard_series("M", 4), n), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_sizes_are_ints_from_the_least(name):
+    build, least = SIZED[name]
+    for n in range(least, 2):  # a cached 0 or 1 must not answer for False or True
+        build(n)
+    for bad in (True, False, 1.0, Fraction(1), "1", None):
+        with pytest.raises(TypeError, match="must be an int, got"):
+            build(bad)
+    with pytest.raises(ValueError):
+        build(least - 1)

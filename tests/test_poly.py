@@ -464,6 +464,14 @@ def test_helper_sums_products():
     assert poly_sum([1, M1]) == P("1*M1 + 1")
 
 
+def test_helper_sums_and_products_refuse_non_ring_items():
+    for bad in (1.5, "1", None, [M1]):
+        with pytest.raises(TypeError, match="not a polynomial or exact rational"):
+            poly_sum([M1, bad])
+        with pytest.raises(TypeError, match="not a polynomial or exact rational"):
+            poly_product([M1, bad])
+
+
 def test_shift_sum():
     m1, m2 = variable_key(M1), variable_key(M2)
     assert shift_sum([]) == Polynomial.zero()

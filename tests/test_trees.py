@@ -16,7 +16,7 @@ from nckit.ncpart import (
     leq,
     weight,
 )
-from nckit.poly import Polynomial, delta, poly_product
+from nckit.poly import Polynomial, delta, poly_product, variable_key
 from nckit.trees import (
     LEAF,
     Arrangement,
@@ -217,6 +217,46 @@ def test_eta_hits_every_noncrossing_partition():
     for n in range(1, 6):
         images = {eta(t) for t in enumerate_prime(n)}
         assert images == set(enumerate_nc(n))
+
+
+def eta_by_walk(t):
+    # the blocks of eta(t), by a counter walk of its own: each internal vertex
+    # gives the largest leaf index under each of its children but the last
+    blocks, counter = [], [0]
+
+    def walk(node):
+        if not node:
+            counter[0] += 1
+            return counter[0]
+        maxes = [walk(c) for c in node]
+        blocks.append(tuple(maxes[:-1]))
+        return maxes[-1]
+
+    walk(t)
+    return tuple(sorted(blocks))
+
+
+def weight_tree_by_walk(t):
+    # weight_tree(t) by a key walk of its own: d_{deg(v)-1} off the leftmost branch
+    def key(node, on_left_branch):
+        if not node:
+            return 0
+        own = 0 if on_left_branch else variable_key(delta(len(node) - 1))
+        return own + sum(key(c, on_left_branch and i == 0) for i, c in enumerate(node))
+
+    return Polynomial._raw({key(t, True): 1})
+
+
+def test_eta_matches_the_walk():
+    for n in range(1, 9):
+        for t in enumerate_prime(n):
+            assert eta(t).blocks == eta_by_walk(t), t
+
+
+def test_weight_tree_matches_the_walk():
+    for n in range(1, 8):
+        for t in enumerate_schroder(n):
+            assert weight_tree(t) == weight_tree_by_walk(t), t
 
 
 def test_weight_tree_examples():

@@ -3,8 +3,9 @@
 The forward direction expands each moment as Yoshida's weighted sum of
 cumulant products over noncrossing partitions.  The first-block recursion
 computes it without enumerating: split the sum at the block that contains 1,
-whose gaps fill independently.  Run over Fractions, the same recursion
-converts numeric sequences in both directions without a symbolic table.
+whose gaps fill independently.  Run over ints, after one scaling of the
+inputs, the same recursion converts rational sequences in both directions
+without a symbolic table, with one division per output entry.
 Three independent routes invert the forward table, chosen by name in one
 table read by ``cumulants_from_moments``:
 
@@ -160,6 +161,9 @@ class TransformTable:
     __slots__ = ("n", "direction", "method", "flavor", "entries")
 
     def __init__(self, n, direction, method, entries, flavor=FLAVOR_DELTA):
+        """Raises TypeError for a size that is not an int or entries that are
+        not an iterable of Polynomials, ValueError for an unknown name, a size
+        below 1, a wrong entry count or an entry that is not triangular."""
         _require_size(n, 1)
         if direction not in _DIRECTIONS:
             raise ValueError(f"unknown direction {_shown(direction)}")
@@ -167,10 +171,15 @@ class TransformTable:
             raise ValueError(f"unknown method {_shown(method)}")
         if flavor not in _FLAVORS:
             raise ValueError(f"unknown flavor {_shown(flavor)}")
-        entries = tuple(entries)
+        try:
+            entries = tuple(entries)
+        except TypeError:
+            raise TypeError(f"entries must be iterable, got {_shown(entries)}") from None
         if len(entries) != n:
             raise ValueError(f"expected {n} entries, got {len(entries)}")
         for k, entry in enumerate(entries, start=1):
+            if not isinstance(entry, Polynomial):
+                raise TypeError(f"entry {k} is not a Polynomial: {_shown(entry)}")
             bad = [v for v in entry.variables() if v.index > k]
             if bad:
                 raise ValueError(
@@ -250,9 +259,9 @@ def product_cumulant(p: NoncrossingPartition) -> Polynomial:
     return Polynomial._raw({_block_key(p, cumulant): 1})
 
 
-def _first_block(seq, deltas, inverse: bool) -> list:
-    """Yoshida's formula split at the block that contains 1, over Polynomials
-    or exact rationals (each sum of products is one `dot`).
+def _first_block(seq, deltas, inverse: bool, e: int = 1) -> list:
+    """Yoshida's formula split at the block that contains 1, over Polynomials,
+    exact rationals or scaled ints (each sum of products is one `dot`).
 
     With G = 1 + sum_g d_g*M_g*z^g and P[j][b] = [z^b] G^j*(1 + sum_t M_t*z^t),
     M_n = sum_k C_k*P[k-1][n-k]: the k - 1 gaps of the first block fill
@@ -260,11 +269,15 @@ def _first_block(seq, deltas, inverse: bool) -> list:
     after it are free.  Step n fills the anti-diagonal j + b = n - 1 of P from
     earlier ones.  C_n enters M_n with coefficient 1, so the inverse
     (``seq`` holds moments) is a triangular solve.  Returns the other sequence.
+
+    Over ints, entry t of either sequence is stored times s^t*e^(t-1) and each
+    weight times e; row 0 reads each moment after M_0 = 1 times e, so P[j][b]
+    is stored times s^b*e^b and every value stays an exact int.
     """
     moments, cumulants, gaps, rows = [1], [], [1], []
     for n, (x, d) in enumerate(zip(seq, deltas), start=1):
         rows.append([])
-        rows[0].append(moments[-1])
+        rows[0].append(moments[-1] * e if n > 1 and e != 1 else moments[-1])
         for j in range(1, n):
             b, prev = n - 1 - j, rows[j - 1]
             rows[j].append(dot(zip(gaps, prev[b::-1])))  # gaps[a] * prev[b - a], a <= b
@@ -429,13 +442,21 @@ def boolean_cumulants(n: int) -> TransformTable:
 
 # -- numeric conversion ------------------------------------------------------
 
+# Past about this many bits in the scale of the last entry, the products of
+# scaled ints cost more than the gcds of the Fraction recursion they replace:
+# a prime that first appears late in a denominator is scaled into every entry.
+_SCALE_BITS = 1 << 13
+
+
 def numeric_convert(values, deltas, direction: str) -> list:
     """Convert an exact rational sequence by the first-block recursion.
 
     ``values`` holds the input sequence: cumulants when asking for direction
     "moments", moments when asking for direction "cumulants".  ``deltas``
     holds one weight value per entry.  No symbolic table is built and nothing
-    is cached; the cost grows as n^3 operations on Fractions.
+    is cached.  The inputs are scaled to ints once, the recursion runs on
+    ints (about n^3/6 products), and each entry is divided back once; inputs
+    whose scale would pass ``_SCALE_BITS`` run on Fractions instead.
     """
     if direction not in _DIRECTIONS:
         raise ValueError(f"unknown direction {_shown(direction)}")
@@ -445,7 +466,24 @@ def numeric_convert(values, deltas, direction: str) -> list:
         raise LengthMismatch(
             f"{len(values)} sequence values but {len(deltas)} weight values"
         )
-    return _first_block(values, deltas, direction == DIRECTION_CUMULANTS)
+    # Fraction(a, b).denominator is b // gcd(a, b): e is the lcm of the weight
+    # denominators, and s grows only by what entry t still needs to make
+    # x_t*s^t*e^(t-1) an int (the lcm of all the input denominators would
+    # explode on inputs whose denominators grow with t)
+    e = s = 1
+    for d in deltas:
+        e *= Fraction(e, d.denominator).denominator
+    for t, x in enumerate(values, start=1):
+        q = x.denominator
+        s *= Fraction(pow(s, t, q) * pow(e, t - 1, q), q).denominator
+    inverse = direction == DIRECTION_CUMULANTS
+    if len(values) * (s * e).bit_length() > _SCALE_BITS:
+        return _first_block(values, deltas, inverse)  # x +- rest keeps each a Fraction
+    scales = [s ** t * e ** (t - 1) for t in range(1, len(values) + 1)]
+    ints = [x.numerator * scale // x.denominator for x, scale in zip(values, scales)]
+    weights = [d.numerator * (e // d.denominator) for d in deltas]
+    out = _first_block(ints, weights, inverse, e)
+    return [Fraction(v, scale) for v, scale in zip(out, scales)]
 
 
 # -- cancellation apparatus --------------------------------------------------

@@ -15,7 +15,7 @@ Leaf counts follow the little Schroder numbers, prime counts the large ones.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -37,10 +37,23 @@ LEAF: Tree = ()
 
 # -- basic tree structure ----------------------------------------------------
 
+def _bounded(walk):
+    """``walk`` refusing a tree nested past the interpreter's recursion limit
+    with ValueError, not a bare RecursionError."""
+    @wraps(walk)
+    def checked(t: Tree):
+        try:
+            return walk(t)
+        except RecursionError:
+            raise ValueError("tree nested past the recursion limit") from None
+
+    return checked
+
+
+@_bounded
 def n_leaves(t: Tree) -> int:
-    if not t:
-        return 1
-    return sum(n_leaves(c) for c in t)
+    """Leaf count; ValueError on a tree nested past the recursion limit."""
+    return sum(map(n_leaves, t)) if t else 1  # map adds no frame: the accepted depth is kept
 
 
 def internal_count(t: Tree) -> int:
@@ -147,12 +160,14 @@ def _leaf_partition(blocks: tuple, n: int) -> NoncrossingPartition:
     return NoncrossingPartition._trusted([tuple(_bits(m << 1)) for m in blocks], range(1, n + 1))
 
 
+@_bounded
 def eta(t: Tree) -> NoncrossingPartition:
     """Noncrossing partition read off a prime tree with n+1 leaves.
 
     Each internal vertex contributes one block: the largest leaf index under
     each of its children except the last.  Leaves are numbered left to right
-    from 1.
+    from 1.  Raises NotPrime on a tree that is not prime, ValueError on one
+    nested past the recursion limit.
     """
     if not is_prime(t):
         raise NotPrime("the partition map needs a prime tree")
@@ -160,8 +175,10 @@ def eta(t: Tree) -> NoncrossingPartition:
     return _leaf_partition(blocks, leaves - 1)
 
 
+@_bounded
 def weight_tree(t: Tree) -> Polynomial:
-    """Product of d_{deg(v)-1} over internal vertices off the leftmost branch."""
+    """Product of d_{deg(v)-1} over internal vertices off the leftmost branch;
+    ValueError on a tree nested past the recursion limit."""
     return Polynomial._raw({_summary(t, {})[3]: 1})
 
 
@@ -199,7 +216,7 @@ class Arrangement:
                     raise InvalidArrangement(
                         f"{len(pos)} positions for a shape with {n_leaves(shape)} leaves"
                     )
-        except RecursionError:
+        except (RecursionError, ValueError):  # ValueError: from n_leaves
             raise InvalidArrangement("a component shape is nested past the recursion limit") from None
         self._init_raw(comps, part)
 
@@ -312,9 +329,12 @@ def weight_arrangement(a: Arrangement) -> Polynomial:
 
 # -- the bijection with prime trees ------------------------------------------
 
+@_bounded
 def phi(t: Tree) -> Arrangement:
     """Prune a prime tree to its arrangement: drop the root, its last leaf and
-    every middle edge; middle subtrees become their own components."""
+    every middle edge; middle subtrees become their own components.  Raises
+    NotPrime on a tree that is not prime, ValueError on one nested past the
+    recursion limit."""
     if not is_prime(t):
         raise NotPrime("only prime trees have an arrangement form")
     components: list[tuple] = []

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nckit.cumulants import (
     CUMULANT_METHODS,
@@ -201,6 +201,16 @@ def test_first_block_witness_specializations(witness):
         values = {delta(k): value for k in range(1, 13)}
         for k in range(1, 13):
             assert witness[k - 1].substitute(values) == series.coeff(k - 1), (kind, k)
+
+
+def test_lagrange_past_the_witness_evaluates_to_numeric_convert():
+    # lagrange n=16 at one seeded rational point, against the integer path
+    n, rng = 16, random.Random(16)
+    ms, ds = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in "md")
+    point = {moment(k): ms[k - 1] for k in range(1, n + 1)}
+    point.update({delta(k): ds[k - 1] for k in range(1, n + 1)})
+    expected = numeric_convert(ms, ds, DIRECTION_CUMULANTS)
+    assert [e.evaluate(point) for e in cumulants_from_moments(n, METHOD_LAGRANGE).entries] == expected
 
 
 def test_every_route_returns_n_entries():
@@ -447,6 +457,46 @@ def test_numeric_convert_evaluates_the_symbolic_tables(data):
         assignment.update(weights)
         expected = [table.entry(k).evaluate(assignment) for k in range(1, n + 1)]
         assert numeric_convert(values, deltas, direction) == expected
+
+
+DENOMINATORS = (1, 2, 3, 4, 9, 10007, 2**61 - 1)  # the last two prime
+
+
+def rationals(denominators=DENOMINATORS):
+    return st.builds(Fraction, st.integers(-9, 9), st.sampled_from(denominators))
+
+
+@st.composite
+def sequences(draw):
+    """A sequence and its weights: weights with denominator 1 only, all zero,
+    over large prime denominators, or mixed."""
+    n = draw(st.integers(0, 30))
+    weights = draw(st.sampled_from([
+        st.integers(-3, 3), st.just(0), rationals((10007, 2**61 - 1)), rationals(),
+    ]))
+    return draw(st.lists(rationals(), min_size=n, max_size=n)), draw(
+        st.lists(weights, min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(sequences())
+@example(([], []))
+@example(([Fraction(1, 3)] * 20, [1] * 19 + [Fraction(1, 2**521 - 1)]))  # past _SCALE_BITS
+def test_numeric_convert_matches_the_fraction_recursion(sequence):
+    """The scaled integer path equals the recursion run on Fractions, the call
+    the symbolic table makes, in both directions, and returns Fractions; each
+    output, whose denominators grow with its index, goes back through the
+    other direction."""
+    values, deltas = sequence
+    weights = [Fraction(d) for d in deltas]
+    for direction, other in ((DIRECTION_MOMENTS, DIRECTION_CUMULANTS),
+                             (DIRECTION_CUMULANTS, DIRECTION_MOMENTS)):
+        out = numeric_convert(values, deltas, direction)
+        assert out == _first_block(values, weights, direction == DIRECTION_CUMULANTS)
+        assert all(type(x) is Fraction for x in out)
+        back = numeric_convert(out, deltas, other)
+        assert back == _first_block(out, weights, other == DIRECTION_CUMULANTS)
 
 
 def test_numeric_convert_examples():

@@ -1,7 +1,8 @@
 """Each public constructor and parser raises only the classes its docstring
 names, on any input: Hypothesis draws nested junk of every basic type.  Every
 public entry point that echoes its input in an error message does so for input
-nested past the recursion limit too, and every size is an int from its least.
+nested past the recursion limit too, each tree walk refuses such a tree with its
+documented ValueError, and every size is an int from its least.
 
 Polynomial text is drawn with variable indices 1..3 only, because a new
 variable keeps its key slot for the rest of the process.
@@ -46,7 +47,11 @@ from nckit.trees import (
     enumerate_binary,
     enumerate_prime,
     enumerate_schroder,
+    eta,
+    n_leaves,
+    phi,
     tree_from_json,
+    weight_tree,
 )
 
 
@@ -85,12 +90,21 @@ CASES = {
     "Polynomial": (Polynomial, (TypeError, ValueError)),
     "Polynomial.parse": (Polynomial.parse, (TypeError, ValueError)),
     "LaurentSeries": (LaurentSeries, (TypeError, ValueError)),
+    "TransformTable": (TransformTable, (TypeError, ValueError)),
 }
+M1 = Polynomial.parse("1*M1")
+table_args = (
+    st.integers(0, 2) | junk,
+    st.sampled_from(["moments", "cumulants"]) | junk,
+    st.sampled_from(["yoshida", "mobius"]) | junk,
+    junk | st.lists(junk | st.just(M1), max_size=3),
+)
 ARGS = {
     "NoncrossingPartition": st.tuples(junk) | st.tuples(junk, junk),
     "NoncrossingPartition.parse": st.tuples(junk | st.text(max_size=8)),
     "Polynomial.parse": st.tuples(junk | polynomial_text),
     "LaurentSeries": st.tuples(junk, junk) | st.tuples(junk, junk, junk),
+    "TransformTable": st.tuples(*table_args) | st.tuples(*table_args, junk),
 }
 calls = st.one_of(
     [st.tuples(st.just(name), ARGS.get(name, st.tuples(junk))) for name in CASES]
@@ -120,6 +134,8 @@ calls = st.one_of(
 @example(("LaurentSeries", lambda: (0, [DEEP_LIST])))
 @example(("LaurentSeries", lambda: (DEEP_LIST, [1])))
 @example(("tree_from_json", lambda: ({0: DEEP_LIST},)))
+@example(("TransformTable", (1, "moments", "yoshida", [5])))
+@example(("TransformTable", (1, "moments", "yoshida", 5)))
 def test_constructors_raise_only_their_documented_errors(call):
     name, args = call
     if callable(args):  # a nesting too deep for Hypothesis to print
@@ -152,10 +168,8 @@ def test_sizes_and_exponents_are_ints(x):
         raise AssertionError(f"{x!r} was accepted")
 
 
-M1 = Polynomial.parse("1*M1")
-
-# each public entry point that echoes an input in an error message: the call,
-# the input nested 5,000 deep, and the error its docstring names
+# each public entry point that echoes an input in an error message, or walks a
+# tree: the call, the input nested 5,000 deep, and the error its docstring names
 DEEP_CALLS = {
     "NoncrossingPartition": (NoncrossingPartition, DEEP_LIST, NotAPartition),
     "NoncrossingPartition block": (lambda x: NoncrossingPartition([[x]]), DEEP_LIST, NotAPartition),
@@ -181,6 +195,10 @@ DEEP_CALLS = {
     "moments_from_cumulants": (moments_from_cumulants, DEEP_LIST, TypeError),
     "numeric_convert": (lambda x: numeric_convert([x], [1], "moments"), DEEP_LIST, TypeError),
     "TransformTable": (lambda x: TransformTable(1, x, "mobius", [M1]), DEEP_LIST, ValueError),
+    "n_leaves": (n_leaves, DEEP_COMB, ValueError),
+    "eta": (eta, DEEP_COMB, ValueError),
+    "weight_tree": (weight_tree, DEEP_COMB, ValueError),
+    "phi": (phi, DEEP_COMB, ValueError),
 }
 
 

@@ -71,11 +71,19 @@ class _UsageError(Exception):
     """Bad input discovered after argument parsing; maps to exit code 2."""
 
 
+def _unparsable(token: str, what: str) -> str:
+    """Why token is not `what`: echoed, unless past the int-to-string digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(token) > limit:
+        return f"a value has more than {limit} digits"
+    return f"not {what}: {_shown(token)}"
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}") from None
+        raise argparse.ArgumentTypeError(_unparsable(text, "an integer")) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -261,12 +269,7 @@ def _parse_rationals(text: str, flag: str) -> list[Fraction]:
                 raise ValueError(token)
             values.append(Fraction(token))
         except (ValueError, ZeroDivisionError):
-            limit = sys.get_int_max_str_digits()
-            if limit and len(token) > limit:  # past the int limit; too long to echo
-                message = f"a value has more than {limit} digits"
-            else:
-                message = f"not an exact rational: {token!r}"
-            raise _UsageError(f"{flag}: {message}") from None
+            raise _UsageError(f"{flag}: {_unparsable(token, 'an exact rational')}") from None
     return values
 
 

@@ -26,17 +26,20 @@ two kernels stay written out: their inner runs are short (about 12 terms per
 outer pass in a lagrange build), and each shared helper tried cost 3-7% on the
 `tables` and `lagrange` benchmarks.
 
+`split_by_family`, `substitute` and `evaluate` read terms through one grouping,
+`_group`: by the part of each key inside a field mask, then by the rest.
+`substitute` builds each distinct assigned part's value once, from a smaller
+part's, and sums group times value in one `dot`; `evaluate` is its scalar case.
+
 Rendering is canonical and parseable: terms in graded-lex descending order
 (variable order d1 < d2 < ... < M1 < M2 < ... < C1 < C2 < ...), each term with
 an explicit rational coefficient, e.g. ``1*C1^2 + 1*C2`` or ``-2/3*d1*M2``.
-`render` builds each term from its family parts: a key is the sum of its d, M
-and C parts, each part being the key masked by its family's entry in
-`_MASKS`, which `split_by_family` and `specialize_family` also read.  Terms
-share parts, so each distinct part is read once per call through `_unpack`
-into its degree, its exponents re-packed in the order of the polynomial's own
-variables and its factor text.  A term sorts on one int, its summed degree
-above the OR of its re-packed parts (the largest variable most significant),
-and its text is the coefficient followed by the d, M and C texts.
+`render` reads each distinct d, M and C part (the key masked by its family's
+entry in `_MASKS`) once through `_unpack`, into its degree, its exponents
+re-packed in the order of the polynomial's own variables and its factor text.
+A term sorts on one int, its summed degree above the OR of its re-packed parts
+(the largest variable most significant), and its text is the coefficient
+followed by the d, M and C texts.
 """
 
 from __future__ import annotations
@@ -222,10 +225,8 @@ class Polynomial:
 
     def as_rational(self) -> Fraction | None:
         """The value of a constant polynomial, or None if any variable occurs."""
-        if not self._terms:
-            return Fraction(0)
-        if len(self._terms) == 1 and 0 in self._terms:
-            return Fraction(self._terms[0])
+        if self._terms.keys() <= {0}:
+            return Fraction(self._terms.get(0, 0))
         return None
 
     def variables(self) -> set[Variable]:
@@ -281,43 +282,38 @@ class Polynomial:
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, assignment: Mapping[Variable, object]) -> "Polynomial":
-        """Replace variables by polynomials or rationals; unassigned variables pass through."""
-        values = {v: Polynomial.from_variable(v) for v in self.variables()}
+        """Replace variables at once by polynomials or exact scalars; others pass through."""
+        known = {0: 1}  # assigned part -> its value, a scalar kept a scalar
         for v, x in assignment.items():
-            p = as_polynomial(x)
-            if p is NotImplemented:
+            value = _coefficient(x) if isinstance(x, (int, Fraction)) else as_polynomial(x)
+            if value is NotImplemented:
                 raise TypeError(f"cannot substitute {_shown(x)} for {v.symbol()}")
-            values[v] = p
-        return poly_sum(
-            coeff * poly_product(values[var] ** exp for var, exp in mono)
-            for mono, coeff in self.items()
-        )
+            if v in _KEYS:  # a variable with no slot occurs nowhere
+                known[_KEYS[v]] = value
+        pairs = []
+        for part, rest in _group(self._terms, sum(known) * _FIELD).items():
+            upper, left = 0, part  # part's fields from the highest down, each upper part built once
+            while left:
+                shift = (left.bit_length() - 1) // _WIDTH * _WIDTH
+                field = left >> shift << shift
+                if upper + field not in known:
+                    known[upper + field] = known[upper] * known[1 << shift] ** (field >> shift)
+                upper, left = upper + field, left - field
+            pairs.append((rest[0] if rest.keys() == {0} else Polynomial._raw(rest), known[part]))
+        return as_polynomial(dot(pairs))
 
     def evaluate(self, assignment: Mapping[Variable, Scalar]) -> Fraction:
-        """Fully evaluate; every variable that occurs must be assigned an int or a Fraction."""
+        """`substitute` with only ints and Fractions (else TypeError), one for
+        every variable that occurs (else ValueError)."""
         values = {v: as_fraction(x) for v, x in assignment.items()}
-        total = Fraction(0)
-        for mono, coeff in self.items():
-            prod = coeff
-            for var, exp in mono:
-                if var not in values:
-                    raise ValueError(f"no value for variable {var.symbol()}")
-                prod *= values[var] ** exp
-            total += prod
-        return total
+        if missing := self.variables().difference(values):
+            raise ValueError(f"no value for variable {min(missing).symbol()}")
+        return self.substitute(values).as_rational()
 
     def split_by_family(self, family: int) -> dict[Monomial, "Polynomial"]:
-        """Group terms by the non-`family` part of each monomial.
-
-        Returns a map whose keys are monomials free of `family` variables and
-        whose values collect the `family`-only cofactors.
-        """
-        fields = _MASKS.get(family, 0)
-        out: dict[int, dict[int, Scalar]] = {}
-        for key, coeff in self._terms.items():
-            kept = key & fields
-            out.setdefault(key ^ kept, {})[kept] = coeff
-        return {_unpack(rest): Polynomial._raw(part) for rest, part in out.items()}
+        """Each monomial free of `family` variables -> the `family`-only cofactor of its terms."""
+        groups = _group(self._terms, _MASKS.get(family, 0) ^ ((1 << _WIDTH * len(_VARS)) - 1))
+        return {_unpack(other): Polynomial._raw(cofactor) for other, cofactor in groups.items()}
 
     # -- canonical text form -------------------------------------------------
 
@@ -426,13 +422,6 @@ def _ring_item(x) -> Polynomial:
     return p
 
 
-def poly_product(factors: Iterable) -> Polynomial:
-    result = Polynomial.one()
-    for f in factors:
-        result = result * _ring_item(f)
-    return result
-
-
 def power_by_squaring(base, exp: int):
     """base ** exp for an int exp >= 1 by binary squaring: about 2*log2(exp)
     products, none of them a higher power than the result."""
@@ -520,6 +509,15 @@ def _add_product(out: dict, terms: dict, other) -> None:
             out[key] = s if type(s) is int or s.denominator != 1 else s.numerator
         else:
             del out[key]
+
+
+def _group(terms: dict, fields: int) -> dict[int, dict[int, Scalar]]:
+    """Terms grouped by the part of each key inside fields, then by the rest of the key."""
+    groups: dict[int, dict[int, Scalar]] = {}
+    for key, coeff in terms.items():
+        part = key & fields
+        groups.setdefault(part, {})[key ^ part] = coeff
+    return groups
 
 
 def shift_sum(pairs: Iterable[tuple[int, Polynomial]]) -> Polynomial:

@@ -56,33 +56,32 @@ def n_leaves(t: Tree) -> int:
     return sum(map(n_leaves, t)) if t else 1  # map adds no frame: the accepted depth is kept
 
 
+@_bounded
 def internal_count(t: Tree) -> int:
-    if not t:
-        return 0
-    return 1 + sum(internal_count(c) for c in t)
+    """Internal vertex count; ValueError on a tree nested past the recursion limit."""
+    return 1 + sum(map(internal_count, t)) if t else 0
 
 
+@_bounded
 def is_binary(t: Tree) -> bool:
-    return type(t) is tuple and (not t or len(t) == 2 and all(map(is_binary, t)))
+    """A tuple tree with 0 or 2 children per vertex; ValueError past the recursion limit."""
+    return type(t) is tuple and (not t or len(t) == 2 and is_binary(t[0]) and is_binary(t[1]))
 
 
+@_bounded
 def tree_to_json(t: Tree):
-    """Leaf encodes as 0, internal vertex as the list of its children."""
-    if not t:
-        return 0
-    return [tree_to_json(c) for c in t]
+    """Leaf as 0, internal vertex as its list of children; ValueError past the recursion limit."""
+    return list(map(tree_to_json, t)) if t else 0
 
 
+@_bounded
 def tree_from_json(obj) -> Tree:
     """Inverse of tree_to_json; raises ValueError on anything else, lists nested
     past the interpreter's recursion limit included."""
     if type(obj) is int and obj == 0:  # not False, 0.0 or Fraction(0)
         return LEAF
     if isinstance(obj, list) and len(obj) >= 2:
-        try:
-            return tuple(tree_from_json(c) for c in obj)
-        except RecursionError:
-            raise ValueError("tree encoding nested past the recursion limit") from None
+        return tuple(map(tree_from_json, obj))
     raise ValueError(f"bad tree encoding: {_shown(obj)}")
 
 
@@ -216,7 +215,7 @@ class Arrangement:
                     raise InvalidArrangement(
                         f"{len(pos)} positions for a shape with {n_leaves(shape)} leaves"
                     )
-        except (RecursionError, ValueError):  # ValueError: from n_leaves
+        except ValueError:  # from is_binary or n_leaves
             raise InvalidArrangement("a component shape is nested past the recursion limit") from None
         self._init_raw(comps, part)
 

@@ -551,6 +551,20 @@ def test_verify_rejects_bad_max_n(capsys):
     assert run_cli(capsys, "verify", "--max-n", "0")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("verify", "--max-n"), ("table delta --direction moments", "--n")]
+)
+def test_an_overlong_size_is_not_echoed(capsys, command, flag):
+    nines = "9" * 5000  # an integer past the default int-to-string limit of 4300 digits
+    argv = command.split()
+    rc, out, err = run_cli(capsys, *argv, flag, nines)
+    limit = sys.get_int_max_str_digits()
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"nckit {argv[0]}: error: argument {flag}: a value has more than {limit} digits"
+    )
+
+
 @pytest.fixture
 def wrong_trees_route(monkeypatch):
     """A simulated bug in the trees route: entry k >= 2 gains d1*M1^k."""

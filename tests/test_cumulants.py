@@ -4,6 +4,8 @@ import csv
 import io
 import random
 from fractions import Fraction
+from functools import cache
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +25,7 @@ from nckit.cumulants import (
     TransformTable,
     _CUMULANT_ENTRIES,
     _coarsenings,
+    _column_entries,
     _first_block,
     _lagrange_entries,
     _mu_top_column,
@@ -48,6 +51,7 @@ from nckit.ncpart import (
     coarsest,
     enumerate_nc,
     finest,
+    is_interval,
     kreweras,
     kreweras_inv,
     leq,
@@ -57,7 +61,7 @@ from nckit.ncpart import (
     zeta_arc_form,
     zeta_c,
 )
-from nckit.poly import Polynomial, cumulant, delta, moment, poly_sum
+from nckit.poly import DELTA, Polynomial, cumulant, delta, moment, poly_sum, specialize_family
 from nckit.series import (
     LaurentSeries,
     constant_series,
@@ -408,6 +412,50 @@ def test_tree_column_free_specialization_is_classical_mobius():
             column = mu_column_via_trees(p)
             ones = {v: 1 for v in column.variables()}
             assert column.substitute(ones) == classical[p]
+
+
+# -- the columns past n = 7 ---------------------------------------------------
+
+@pytest.fixture(scope="module")
+def mobius_columns():
+    """``_mu_top_column`` memoised, so the checks below and the mobius route's
+    n = 9 entries share one build of the columns for n <= 9."""
+    return cache(_mu_top_column)
+
+
+def mobius_values(p):
+    """The Mobius function mu(p, 1_n) of NC(n), the product over the blocks B
+    of kreweras(p) of (-1)^(|B|-1) Cat(|B|-1), and that of the interval
+    partitions, (-1)^(blocks-1) on an interval partition and 0 elsewhere."""
+    free = prod((-1) ** (len(b) - 1) * comb(2 * len(b) - 2, len(b) - 1) // len(b)
+                for b in kreweras(p).blocks)
+    return free, (-1) ** (p.block_count - 1) if is_interval(p) else 0
+
+
+def test_columns_specialize_to_the_free_and_boolean_mobius_functions(mobius_columns):
+    # every weight 1 gives the Mobius function of NC(n), every weight 0 that
+    # of the interval partitions, both against 1_n; criterion 9's sign
+    # pattern holds on the same range
+    for n in range(1, 10):
+        expected = {p: mobius_values(p) for p in enumerate_nc(n)}
+        for column in (mobius_columns(n), _tree_column(n)):
+            assert len(column) == len(expected), n
+            for p, value in column:
+                free, boolean = expected[p]
+                assert specialize_family(value, DELTA, 1) == free, (n, p)
+                assert specialize_family(value, DELTA, 0) == boolean, (n, p)
+                sign = (-1) ** (p.block_count - 1)
+                assert all(type(c) is int and sign * c > 0 for _, c in value.items()), (n, p)
+
+
+def test_mobius_past_the_witness_evaluates_to_numeric_convert(mobius_columns):
+    # the mobius route's entries over the shared columns, at one seeded rational point
+    n, rng = 9, random.Random(9)
+    ms, ds = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in "md")
+    point = {moment(k): ms[k - 1] for k in range(1, n + 1)}
+    point.update({delta(k): ds[k - 1] for k in range(1, n + 1)})
+    expected = numeric_convert(ms, ds, DIRECTION_CUMULANTS)
+    assert [e.evaluate(point) for e in _column_entries(mobius_columns)(n)] == expected
 
 
 # -- round trips -------------------------------------------------------------

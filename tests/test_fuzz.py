@@ -48,9 +48,12 @@ from nckit.trees import (
     enumerate_prime,
     enumerate_schroder,
     eta,
+    internal_count,
+    is_binary,
     n_leaves,
     phi,
     tree_from_json,
+    tree_to_json,
     weight_tree,
 )
 
@@ -183,6 +186,7 @@ DEEP_CALLS = {
     "delta": (delta, DEEP_LIST, ValueError),
     "dot": (lambda x: dot([(x, 1)]), DEEP_LIST, TypeError),
     "substitute": (lambda x: M1.substitute({moment(1): x}), DEEP_LIST, TypeError),
+    "evaluate": (lambda x: M1.evaluate({moment(1): x}), DEEP_LIST, TypeError),
     "specialize_family": (lambda x: specialize_family(M1, DELTA, x), DEEP_LIST, ValueError),
     "LaurentSeries coefficient": (lambda x: LaurentSeries(0, [x]), DEEP_LIST, TypeError),
     "LaurentSeries bound": (lambda x: LaurentSeries(x, [1]), DEEP_LIST, TypeError),
@@ -199,6 +203,9 @@ DEEP_CALLS = {
     "eta": (eta, DEEP_COMB, ValueError),
     "weight_tree": (weight_tree, DEEP_COMB, ValueError),
     "phi": (phi, DEEP_COMB, ValueError),
+    "internal_count": (internal_count, DEEP_COMB, ValueError),
+    "is_binary": (is_binary, DEEP_COMB, ValueError),
+    "tree_to_json": (tree_to_json, DEEP_COMB, ValueError),
 }
 
 
@@ -207,6 +214,14 @@ def test_deep_input_is_echoed_past_the_recursion_limit(name):
     call, deep, documented = DEEP_CALLS[name]
     with pytest.raises(documented, match="nested past the recursion limit"):
         call(deep)
+
+
+def test_tree_walks_keep_the_depth_n_leaves_accepts():
+    comb = reduce(lambda x, _: (x, ()), range(400), ((), ()))  # a left comb, 402 leaves
+    assert n_leaves(comb) == 402
+    assert internal_count(comb) == 401
+    assert is_binary(comb)
+    assert tree_from_json(tree_to_json(comb)) == comb
 
 
 # each builder that takes a size, and the least size it accepts

@@ -1,13 +1,14 @@
 """Noncrossing partition combinatorics: enumeration, weights, complements, zeta."""
 
 from itertools import chain, combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nckit import ncpart
 from nckit.cumulants import _tree_column, psi
-from nckit.poly import Polynomial, delta, poly_product
+from nckit.poly import Polynomial, delta
 from nckit.ncpart import (
     GroundMismatch,
     NoncrossingPartition,
@@ -355,17 +356,20 @@ def zeta_by_product(p, q):
     # the blockwise form multiplied out through Polynomial.__mul__
     if not leq(p, q):
         return Polynomial.zero()
-    return poly_product(weight(restrict(p, b)) for b in q.blocks)
+    return prod((weight(restrict(p, b)) for b in q.blocks), start=Polynomial.one())
 
 
 def zeta_c_closed_by_product(a, b):
     # the closed form multiplied out through Polynomial.__mul__
     if not leq(a, b):
         return Polynomial.zero()
-    return poly_product(
-        delta(iota(restrict(a, range(block[0], block[-1] + 1))) - 1)
-        for block in b.blocks
-        if 1 not in block and a.block_of(block[0]) != a.block_of(block[-1])
+    return prod(
+        (
+            delta(iota(restrict(a, range(block[0], block[-1] + 1))) - 1)
+            for block in b.blocks
+            if 1 not in block and a.block_of(block[0]) != a.block_of(block[-1])
+        ),
+        start=Polynomial.one(),
     )
 
 
@@ -393,7 +397,7 @@ def block_by_scan(p, x):
 def weight_by_positions(p):
     pos = {x: i for i, x in enumerate(p.ground)}
     gaps = (pos[j] - pos[i] - 1 for i, j in arcs(p))
-    return poly_product(delta(g) for g in gaps if g)
+    return prod((delta(g) for g in gaps if g), start=Polynomial.one())
 
 
 def interval_closure_by_walk(p):

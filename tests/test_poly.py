@@ -6,13 +6,14 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nckit
+from nckit import poly
 from nckit.cumulants import cumulants_from_moments, moments_from_cumulants
 from nckit.poly import (
     CUMULANT,
@@ -24,7 +25,6 @@ from nckit.poly import (
     delta,
     dot,
     moment,
-    poly_product,
     poly_sum,
     shift_sum,
     specialize_family,
@@ -85,6 +85,8 @@ def test_zero_and_constants():
             Polynomial.constant(bad)
         with pytest.raises(TypeError):
             Polynomial.from_variable(M1).evaluate({M1: bad})
+        with pytest.raises(TypeError):  # D2 does not occur
+            Polynomial.from_variable(M1).evaluate({M1: 1, D2: bad})
 
 
 def test_bools_are_not_scalars():
@@ -264,8 +266,22 @@ def test_substitute_constants_agrees_with_evaluate(p, env):
 
 def test_evaluate_requires_all_variables():
     p = P("1*d1*M1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no value for variable M1"):
         p.evaluate({D1: 1})
+    # the d1 terms cancel at M1 = M2, but d1 still has no value
+    with pytest.raises(ValueError, match="no value for variable d1"):
+        P("1*d1*M1 - 1*d1*M2").evaluate({M1: 1, M2: 1})
+
+
+def test_a_variable_with_no_slot_is_skipped():
+    unseen = cumulant(987_654)  # no polynomial has held it, so it has no key slot
+    slots = list(poly._VARS)
+    assert unseen not in slots
+    p = P("1*d1*M1 + 1*M2")
+    assert p.substitute({unseen: M1_POLY, D1: 2}) == P("2*M1 + 1*M2")
+    assert p.evaluate({unseen: 7, D1: 2, M1: 3, M2: 5}) == 11
+    assert Polynomial.zero().substitute({unseen: 7}) == Polynomial.zero()
+    assert poly._VARS == slots
 
 
 # -- rendering and parsing ---------------------------------------------------
@@ -283,7 +299,7 @@ def test_render_signs_and_fractions():
 
 
 def test_render_factor_order_is_ascending_variables():
-    p = poly_product([D1, M2, M1, C1])
+    p = prod([D1, M2, M1, C1], start=Polynomial.one())
     assert p.render() == "1*d1*M1*M2*C1"
 
 
@@ -458,18 +474,15 @@ def test_specialize_family_takes_only_zero_or_one():
             specialize_family(p, DELTA, bad)
 
 
-def test_helper_sums_products():
+def test_helper_sums():
     assert poly_sum([]) == 0
-    assert poly_product([]) == 1
     assert poly_sum([1, M1]) == P("1*M1 + 1")
 
 
-def test_helper_sums_and_products_refuse_non_ring_items():
+def test_helper_sums_refuse_non_ring_items():
     for bad in (1.5, "1", None, [M1]):
         with pytest.raises(TypeError, match="not a polynomial or exact rational"):
             poly_sum([M1, bad])
-        with pytest.raises(TypeError, match="not a polynomial or exact rational"):
-            poly_product([M1, bad])
 
 
 def test_shift_sum():
@@ -670,10 +683,18 @@ def test_operations_keep_the_canonical_form(p, q, r, e):
 
 @settings(max_examples=60, deadline=None)
 @given(polynomials, polynomials, rationals)
+# a forward entry: its 229 terms share 34 weight parts, each built once
+@example(lambda: moments_from_cumulants(8).entry(8), P("1*C1 - 1/2*d2"), Fraction(-3, 2))
 def test_substitute_and_split_keep_the_canonical_form(p, q, r):
+    if callable(p):  # a table entry, built only when its example runs
+        p = p()
     a = oracle(p)
-    values = {v: {((v, 1),): Fraction(1)} for v in VARS}
-    values.update({D1: {(): r} if r else {}, M1: oracle(q)})
+    # d1 takes the scalar r; M1 and every other weight take the polynomial q
+    assignment = {v: q for v in p.variables() if v.family == DELTA}
+    assignment.update({D1: r, M1: q})
+    values = {v: {((v, 1),): Fraction(1)} for v in p.variables()}
+    values.update({v: oracle(q) for v in assignment})
+    values[D1] = {(): r} if r else {}
     expected: dict = {}
     for mono, c in a.items():
         term = {(): c}
@@ -681,7 +702,7 @@ def test_substitute_and_split_keep_the_canonical_form(p, q, r):
             for _ in range(exp):
                 term = oracle_mul(term, values[var])
         expected = oracle_add(expected, term)
-    check(p.substitute({D1: r, M1: q}), expected)
+    check(p.substitute(assignment), expected)
     check_split(p, a)
 
 

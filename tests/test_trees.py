@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from nckit.ncpart import (
     leq,
     weight,
 )
-from nckit.poly import Polynomial, delta, poly_product, variable_key
+from nckit.poly import Polynomial, delta, variable_key
 from nckit.trees import (
     LEAF,
     Arrangement,
@@ -478,7 +479,7 @@ def weight_tree_by_product(t):
                 walk(c, on_left_branch and i == 0)
 
     walk(t, True)
-    return poly_product(factors)
+    return prod(factors, start=Polynomial.one())
 
 
 def weight_arrangement_by_product(a):
@@ -489,8 +490,9 @@ def weight_arrangement_by_product(a):
     while shape:
         left_path.add((pos[0], pos[n_leaves(shape) - 1]))
         shape = shape[0]
-    return poly_product(
-        delta(c + 1) for span, c in cover_counts(a).items() if span not in left_path
+    return prod(
+        (delta(c + 1) for span, c in cover_counts(a).items() if span not in left_path),
+        start=Polynomial.one(),
     )
 
 

@@ -173,7 +173,10 @@ def _resolve_cap(kind: str, no_cap: bool) -> int | None:
         try:
             cap = int(env)
         except ValueError:
-            raise _UsageError(f"NCKIT_MAX_N is not an integer: {_shown(env)}") from None
+            why = _unparsable(env, "an integer")  # the value itself only when it is short
+            raise _UsageError(
+                f"NCKIT_MAX_N is {why}" if why.startswith("not ") else f"NCKIT_MAX_N: {why}"
+            ) from None
         if cap < 1:
             raise _UsageError("NCKIT_MAX_N must be >= 1")
         return cap

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .ncpart import (
     NoncrossingPartition,
     _bits,
+    _coarsenings,
     _require_standard_ground,
     _zeta_keys,
     enumerate_nc,
@@ -65,6 +65,7 @@ from .poly import (
     Polynomial,
     _require_size,
     _shown,
+    _Value,
     as_fraction,
     cumulant,
     delta,
@@ -150,7 +151,7 @@ _FLAVOR_VALUES = {FLAVOR_FREE: 1, FLAVOR_BOOLEAN: 0}
 
 # -- tables ------------------------------------------------------------------
 
-class TransformTable:
+class TransformTable(_Value):
     """Symbolic expressions of one sequence in terms of the other.
 
     ``entries[k-1]`` expresses the k-th moment (direction "moments") or the
@@ -185,14 +186,7 @@ class TransformTable:
                 raise ValueError(
                     f"entry {k} is not triangular: contains {bad[0].symbol()}"
                 )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransformTable is immutable")
+        self._fill(n, direction, method, flavor, entries)
 
     def entry(self, k: int) -> Polynomial:
         if not 1 <= k <= self.n:
@@ -203,16 +197,8 @@ class TransformTable:
     def target_symbol(self) -> str:
         return "M" if self.direction == DIRECTION_MOMENTS else "C"
 
-    def __eq__(self, other):
-        if not isinstance(other, TransformTable):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.direction == other.direction
-            and self.method == other.method
-            and self.flavor == other.flavor
-            and self.entries == other.entries
-        )
+    def _key(self) -> tuple:
+        return self.n, self.direction, self.method, self.flavor, self.entries
 
     __hash__ = None
 
@@ -304,22 +290,6 @@ def moments_from_cumulants(n: int) -> TransformTable:
 
 
 # -- inverse direction: three routes ----------------------------------------
-
-def _coarsenings(parts: list) -> list:
-    """Per partition of ``parts``, the lattice sorted finer before coarser, the
-    bitset of the indices of the partitions above it: its own bit or'd with the
-    bitsets of its covers, the merges of two blocks that stay noncrossing,
-    filled coarsest first."""
-    index = {p.blocks: i for i, p in enumerate(parts)}
-    up = [1 << i for i in range(len(parts))]
-    for i in range(len(parts) - 1, -1, -1):
-        blocks = parts[i].blocks
-        for a, b in combinations(blocks, 2):
-            rest = [c for c in blocks if c is not a and c is not b]
-            merged = tuple(sorted(rest + [tuple(sorted(a + b))]))
-            up[i] |= up[index.get(merged, i)]  # a crossing merge is not indexed
-    return up
-
 
 def _mu_top_column(n: int) -> tuple:
     """Pairs (partition, inverse-matrix entry against the full partition).

@@ -8,7 +8,8 @@ positional notions (gaps, intervals, standardization) are taken relative to
 the ground set, so restriction and relabeling commute with weights.
 
 Partitions render as blocks joined by '|' with base-36 element digits, e.g.
-'146|23|5' or '78AB|9'.
+'146|23|5' or '78AB|9'.  The constructor validates; the package builds its own
+through the trusted path, `_trusted(blocks, ground)`, whose `_init_raw` checks nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
-from .poly import Polynomial, _require_size, _shown, delta, variable_key
+from .poly import Polynomial, _require_size, _shown, _Value, delta, variable_key
 
 
 class NotAPartition(Exception):
@@ -49,7 +50,7 @@ def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
     return True
 
 
-class NoncrossingPartition:
+class NoncrossingPartition(_Value):
     """Immutable noncrossing partition; hashable, canonically ordered blocks."""
 
     __slots__ = ("ground", "blocks", "_owner", "_masks")
@@ -79,33 +80,22 @@ class NoncrossingPartition:
             raise NotAPartition("blocks do not cover the ground set exactly")
         elif len(g) != len(seen):
             raise NotAPartition("ground set has repeated elements")
-        self._init_raw(tuple(sorted(g)), tuple(sorted(clean)))
+        self._init_raw(sorted(clean), sorted(g))
         for _, inside in _arc_spans(self):  # a block with members on both sides crosses
             if any(m & inside not in (0, m) for m in self._masks):
                 raise NotAPartition("blocks cross")
 
-    def _init_raw(self, ground: tuple, blocks: tuple) -> None:
-        # the block structure, computed once: the index of the block owning
+    def _init_raw(self, blocks: Iterable[Sequence[int]], ground: Sequence[int]) -> None:
+        # the trusted path: the caller guarantees a valid noncrossing partition
+        # in canonical order, each block a sorted tuple, blocks by first element.
+        # The block structure is computed once: the index of the block owning
         # each element, and one bitmask per block over ground positions
+        blocks, ground = tuple(blocks), tuple(ground)
         owner = {x: k for k, b in enumerate(blocks) for x in b}
         masks = [0] * len(blocks)
         for i, x in enumerate(ground):
             masks[owner[x]] |= 1 << i
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_owner", owner)
-        object.__setattr__(self, "_masks", tuple(masks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NoncrossingPartition is immutable")
-
-    @classmethod
-    def _trusted(cls, blocks: Iterable[Sequence[int]], ground: Sequence[int]) -> "NoncrossingPartition":
-        # internal fast path: caller guarantees a valid noncrossing partition in
-        # canonical order, each block a sorted tuple, blocks by first element
-        p = object.__new__(cls)
-        p._init_raw(tuple(ground), tuple(blocks))
-        return p
+        self._fill(ground, blocks, owner, tuple(masks))
 
     # -- basics --------------------------------------------------------------
 
@@ -123,13 +113,8 @@ class NoncrossingPartition:
         except KeyError:
             raise KeyError(f"{x} is not in the ground set") from None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NoncrossingPartition):
-            return NotImplemented
-        return self.ground == other.ground and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.blocks))
+    def _key(self) -> tuple:
+        return self.ground, self.blocks
 
     def __repr__(self) -> str:
         return f"NoncrossingPartition({self.render()})"
@@ -281,6 +266,20 @@ def leq(p: NoncrossingPartition, q: NoncrossingPartition) -> bool:
         raise GroundMismatch("cannot compare partitions of different ground sets")
     owner, masks = q._owner, q._masks
     return all(m & masks[owner[b[0]]] == m for b, m in zip(p.blocks, p._masks))
+
+
+def _coarsenings(parts: list) -> list:
+    """Per partition of ``parts``, the lattice sorted finer before coarser, the
+    bitset of the indices of the partitions above it: its own bit or'd with the
+    bitsets of its covers, the merges of two block masks that stay noncrossing,
+    filled coarsest first."""
+    index = {frozenset(p._masks): i for i, p in enumerate(parts)}
+    up = [1 << i for i in range(len(parts))]
+    for i in range(len(parts) - 1, -1, -1):
+        masks = frozenset(parts[i]._masks)
+        for a, b in combinations(masks, 2):  # a crossing merge is not indexed
+            up[i] |= up[index.get(masks - {a, b} | {a | b}, i)]
+    return up
 
 
 def restrict(p: NoncrossingPartition, subset: Iterable[int]) -> NoncrossingPartition:

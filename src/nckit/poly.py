@@ -40,6 +40,10 @@ re-packed in the order of the polynomial's own variables and its factor text.
 A term sorts on one int, its summed degree above the OR of its re-packed parts
 (the largest variable most significant), and its text is the coefficient
 followed by the d, M and C texts.
+
+`_Value` is the base of the other immutable values: write-once slots, a trusted
+constructor and equality by key.  `Polynomial` stays off it: `_raw`, the hottest
+constructor, writes `_terms` directly, and ``==`` also compares with scalars.
 """
 
 from __future__ import annotations
@@ -90,12 +94,49 @@ def _shown(x) -> str:
         return f"<{type(x).__name__} nested past the recursion limit>"
 
 
+def _require_int(x, name: str) -> None:
+    """TypeError unless x is an int (not a bool)."""
+    if type(x) is not int:
+        raise TypeError(f"{name} must be an int, got {_shown(x)}")
+
+
 def _require_size(n, least: int, name: str = "n") -> None:
     """TypeError unless n is an int (not a bool), ValueError below least."""
-    if type(n) is not int:
-        raise TypeError(f"{name} must be an int, got {_shown(n)}")
+    _require_int(n, name)
     if n < least:
         raise ValueError(f"need {name} >= {least}")
+
+
+class _Value:
+    """Immutable value base: a subclass defines `_key()`, and `_init_raw` for `_trusted`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # _fill(self, <a value per slot>) writes each slot once through its descriptor, past
+        # __setattr__; generated as dataclasses does: a loop makes a trusted series a third dearer
+        names = cls.__slots__
+        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+        body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+        exec(f"def _fill(self, {', '.join(names)}):{body}", scope)
+        cls._fill = scope["_fill"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _trusted(cls, *args):
+        value = object.__new__(cls)  # no validation: _init_raw states what callers guarantee
+        value._init_raw(*args)
+        return value
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _make_var(family: int, index: int) -> Variable:

@@ -16,7 +16,10 @@ Window rules (f with window [lf, of), g with [lg, og)):
 
 Coefficients are kept as they arrive: ints and Fractions stay scalars and
 Polynomials stay as they are (a Variable becomes a Polynomial); anything else
-raises ``TypeError``.  ``coeff()`` always returns a Polynomial.
+raises ``TypeError``.  ``coeff()`` always returns a Polynomial.  Window
+arguments (bounds, exponents, orders) must be ints, not bools, else ``TypeError``.
+The constructor validates; operations take the trusted path, `_trusted(low,
+coeffs, order)`, whose `_init_raw` only strips known-zero leading coefficients.
 
 Reciprocals and compositional inverses need the leading coefficient to be a
 nonzero rational, because those are the only units of the coefficient ring.
@@ -28,8 +31,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import (
-    Polynomial, Variable, _coefficient, _require_size, _shown, as_polynomial, cumulant,
-    delta, dot, moment, power_by_squaring,
+    Polynomial, Variable, _Value, _coefficient, _require_int, _require_size, _shown, as_polynomial,
+    cumulant, delta, dot, moment, power_by_squaring,
 )
 
 
@@ -49,7 +52,7 @@ class PositiveValuationRequired(Exception):
     """Composition needs an inner series with valuation >= 1."""
 
 
-class LaurentSeries:
+class LaurentSeries(_Value):
     """Immutable truncated Laurent series over the polynomial ring."""
 
     __slots__ = ("low", "order", "coeffs")
@@ -68,27 +71,16 @@ class LaurentSeries:
             )
         if order <= low:
             raise ValueError(f"empty window [{low}, {order})")
-        self._set(low, cs, order)
+        self._init_raw(low, cs, order)
 
-    @classmethod
-    def _trusted(cls, low: int, cs: Sequence, order: int) -> "LaurentSeries":
-        # internal fast path: caller guarantees order - low == len(cs) >= 1 and
-        # coefficients in stored form, as every operation on valid series makes
-        s = object.__new__(cls)
-        s._set(low, cs, order)
-        return s
-
-    def _set(self, low: int, cs: Sequence, order: int) -> None:
-        # canonical form: strip known-zero leading coefficients, keep the order
+    def _init_raw(self, low: int, cs: Sequence, order: int) -> None:
+        # the trusted path: the caller guarantees order - low == len(cs) >= 1 and
+        # coefficients in stored form, as every operation on valid series makes.
+        # Canonical form: strip known-zero leading coefficients, keep the order
         skip = 0
         while skip < len(cs) - 1 and not cs[skip]:
             skip += 1
-        object.__setattr__(self, "low", low + skip)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs[skip:]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
+        self._fill(low + skip, order, tuple(cs[skip:]))
 
     # -- inspection ---------------------------------------------------------
 
@@ -98,6 +90,7 @@ class LaurentSeries:
         return not any(self.coeffs)
 
     def coeff(self, k: int) -> Polynomial:
+        _require_int(k, "k")
         if k >= self.order:
             raise OutOfTruncationRange(
                 f"coefficient of z^{k} is beyond the truncation order {self.order}"
@@ -110,14 +103,8 @@ class LaurentSeries:
             return 0
         return self.coeffs[k - self.low]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (
-            self.low == other.low
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+    def _key(self) -> tuple:
+        return self.low, self.order, self.coeffs
 
     __hash__ = None
 
@@ -151,10 +138,12 @@ class LaurentSeries:
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by z^k (exact)."""
+        _require_int(k, "k")
         return LaurentSeries._trusted(self.low + k, self.coeffs, self.order + k)
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Forget coefficients at or above `order`."""
+        _require_int(order, "order")
         if order >= self.order:
             return self
         if order > self.low:
@@ -284,18 +273,23 @@ def _as_coefficient(c):
 # -- constructors ------------------------------------------------------------
 
 def zero_series(order: int, low: int | None = None) -> LaurentSeries:
+    _require_int(order, "order")
     if low is None:
         low = order - 1
+    _require_int(low, "low")
     return LaurentSeries(low, [0] * (order - low), order)
 
 def constant_series(value, order: int) -> LaurentSeries:
+    _require_int(order, "order")
     if order < 1:
         raise ValueError("a constant needs order >= 1 to be visible")
     return LaurentSeries(0, [value] + [0] * (order - 1), order)
 
 def monomial_series(k: int, value=1, order: int | None = None) -> LaurentSeries:
+    _require_int(k, "k")
     if order is None:
         order = k + 1
+    _require_int(order, "order")
     if order <= k:
         raise ValueError(f"order {order} does not cover exponent {k}")
     return LaurentSeries(k, [value] + [0] * (order - k - 1), order)
@@ -320,6 +314,7 @@ def standard_series(kind: str, order: int) -> LaurentSeries:
     """
     if kind not in _SERIES_KINDS:
         raise ValueError(f"unknown series kind {_shown(kind)}; expected one of {_SERIES_KINDS}")
+    _require_int(order, "order")
     if kind == "M" or kind == "Delta":
         if order < 2:
             raise ValueError("need order >= 2 to hold the leading z term")

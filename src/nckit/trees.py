@@ -20,7 +20,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .ncpart import NoncrossingPartition, NotAPartition, _bits, _delta_key, enumerate_nc
-from .poly import Polynomial, _require_size, _shown
+from .poly import Polynomial, _require_size, _shown, _Value
 
 
 class NotPrime(Exception):
@@ -183,7 +183,7 @@ def weight_tree(t: Tree) -> Polynomial:
 
 # -- arrangements ------------------------------------------------------------
 
-class Arrangement:
+class Arrangement(_Value):
     """A noncrossing forest of binary trees with leaves on the dots 1..n.
 
     Components are (positions, shape) pairs: sorted dot positions carrying the
@@ -219,34 +219,19 @@ class Arrangement:
             raise InvalidArrangement("a component shape is nested past the recursion limit") from None
         self._init_raw(comps, part)
 
-    def _init_raw(self, comps: Sequence[tuple], part: NoncrossingPartition | None) -> None:
+    def _init_raw(self, comps: Sequence[tuple], part: NoncrossingPartition | None = None) -> None:
         comps = tuple(sorted(comps))
         if part is None:  # trusted components: build their partition unchecked
             dots = [pos for pos, _ in comps]
             part = NoncrossingPartition._trusted(dots, range(1, sum(map(len, dots)) + 1))
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_partition", part)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Arrangement is immutable")
-
-    @classmethod
-    def _trusted(cls, comps: Sequence[tuple], part: NoncrossingPartition | None = None) -> "Arrangement":
-        a = object.__new__(cls)
-        a._init_raw(comps, part)
-        return a
+        self._fill(comps, part)
 
     @property
     def size(self) -> int:
         return self._partition.size
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Arrangement):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
+    def _key(self) -> tuple:
+        return self.components
 
     def __repr__(self) -> str:
         body = ", ".join(

@@ -460,6 +460,12 @@ _CAP_HINT = "(raise NCKIT_MAX_N or pass --unsafe-no-cap)"
         (None, "enumerate prime --n 9", f"n=9 exceeds the cap 8 for 'prime' {_CAP_HINT}"),
         ("4", "enumerate nc --n 5", f"n=5 exceeds the cap 4 for 'nc' {_CAP_HINT}"),
         ("ten", "enumerate nc --n 1", "NCKIT_MAX_N is not an integer: 'ten'"),
+        pytest.param(
+            "9" * 5000,  # past the default int-to-string limit: not echoed
+            "enumerate nc --n 1",
+            f"NCKIT_MAX_N: a value has more than {sys.get_int_max_str_digits()} digits",
+            id="overlong-NCKIT_MAX_N",
+        ),
         ("0", "enumerate schroder --n 1", "NCKIT_MAX_N must be >= 1"),
         (
             None,

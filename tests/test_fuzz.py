@@ -39,7 +39,10 @@ from nckit.poly import (
     moment,
     specialize_family,
 )
-from nckit.series import LaurentSeries, lagrange_coeff_inverse, standard_series
+from nckit.series import (
+    LaurentSeries, constant_series, lagrange_coeff_inverse, monomial_series, standard_series,
+    zero_series,
+)
 from nckit.trees import (
     Arrangement,
     InvalidArrangement,
@@ -163,6 +166,11 @@ def test_sizes_and_exponents_are_ints(x):
         (lambda: standard_series("M", 4) ** x, TypeError),
         (lambda: moments_from_cumulants(x), TypeError),
         (lambda: cumulants_from_moments(x), TypeError),
+        (lambda: standard_series("M", 4).shift(x), TypeError),
+        (lambda: standard_series("M", 4).truncate(x), TypeError),
+        (lambda: standard_series("M", 4).coeff(x), TypeError),
+        (lambda: monomial_series(x), TypeError),
+        (lambda: zero_series(x), TypeError),
     ):
         try:
             call()
@@ -236,6 +244,8 @@ SIZED = {
     "enumerate_binary": (enumerate_binary, 1),
     "TransformTable": (lambda n: TransformTable(n, "moments", "yoshida", [M1]), 1),
     "lagrange_coeff_inverse": (lambda n: lagrange_coeff_inverse(standard_series("M", 4), n), 1),
+    "constant_series": (lambda n: constant_series(1, n), 1),
+    "standard_series": (lambda n: standard_series("C", n), 1),
 }
 
 

@@ -13,6 +13,12 @@ own definition: as a name read, an attribute or an imported name.
 Broad-handler lint: no module has a bare ``except:`` or a handler that catches
 ``Exception`` or ``BaseException``, alone or in a tuple; each handler names the
 errors it expects, so that a fault elsewhere is not reported as one of them.
+
+Value-plumbing lint: ``object.__setattr__``, ``object.__new__`` and a ``def
+__setattr__`` appear only inside the value base ``_Value``, so immutability,
+the trusted constructor and the slot fill stay written once.  The one named
+exception is ``Polynomial._raw``'s ``object.__new__``: the ring's hottest
+constructor stays off the base.
 """
 
 import ast
@@ -218,4 +224,69 @@ def test_broad_handler_lint_catches_each_form():
     assert broad_handlers(planted) == [
         "5: except", "9: except Exception", "13: except (KeyError, BaseException)",
         "17: except builtins.Exception",
+    ]
+
+
+VALUE_BASE = "_Value"
+PLUMBING_EXCEPTIONS = {("Polynomial._raw", "object.__new__")}
+
+
+def value_plumbing(source: str) -> list[str]:
+    """One "line: where: form" string per ``object.__setattr__``,
+    ``object.__new__`` or ``def __setattr__`` outside the value base."""
+    found = []
+
+    def visit(node, path: tuple) -> None:
+        form = None
+        if isinstance(node, DEFINITIONS):
+            path += (node.name,)
+            if node.name == "__setattr__" and not isinstance(node, ast.ClassDef):
+                form = "def __setattr__"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+            and node.attr in ("__setattr__", "__new__")
+        ):
+            form = f"object.{node.attr}"
+        where = ".".join(path)
+        if form and path[:1] != (VALUE_BASE,) and (where, form) not in PLUMBING_EXCEPTIONS:
+            found.append(f"{node.lineno}: {where}: {form}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_value_plumbing_stays_in_the_base(path):
+    assert value_plumbing(path.read_text(encoding="utf-8")) == []
+
+
+def test_value_plumbing_lint_catches_each_form():
+    planted = (
+        "class _Value:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError(name)\n"
+        "    def _fill(self, value):\n"
+        "        object.__setattr__(self, 'a', value)\n"
+        "class Polynomial:\n"
+        "    def _raw(cls):\n"
+        "        return object.__new__(cls)\n"
+        "    def zero(cls):\n"
+        "        return object.__new__(cls)\n"
+        "class Box:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        object.__setattr__(self, name, value)\n"
+        "def make():\n"
+        "    put = object.__setattr__\n"
+        "    return object.__new__(Box)\n"
+    )
+    assert value_plumbing(planted) == [
+        "10: Polynomial.zero: object.__new__",
+        "12: Box.__setattr__: def __setattr__",
+        "13: Box.__setattr__: object.__setattr__",
+        "15: make: object.__setattr__",
+        "16: make: object.__new__",
     ]

@@ -7,7 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nckit.cumulants import psi
+from nckit.cumulants import TransformTable, psi
 from nckit.ncpart import (
     NoncrossingPartition,
     coarsest,
@@ -18,6 +18,7 @@ from nckit.ncpart import (
     weight,
 )
 from nckit.poly import Polynomial, delta, variable_key
+from nckit.series import LaurentSeries
 from nckit.trees import (
     LEAF,
     Arrangement,
@@ -357,12 +358,49 @@ def test_partition_on_every_construction_path():
             assert partition_of(a) is shared.setdefault(dots, partition_of(a))
 
 
-def test_arrangement_is_immutable():
-    a = Arrangement([((1, 4), CHERRY), ((2, 3), CHERRY)])
-    for name, value in (("components", ()), ("_partition", None), ("other", 1)):
-        with pytest.raises(AttributeError):
-            setattr(a, name, value)
-    assert a.components == (((1, 4), CHERRY), ((2, 3), CHERRY))
+# each immutable value class: a value from its public constructor, an equal one
+# from its trusted path (the constructor again for a table, which has none), and
+# whether it hashes
+VALUES = {
+    "NoncrossingPartition": (
+        lambda: NoncrossingPartition([(3, 1), (2,)]),
+        lambda: NoncrossingPartition._trusted([(1, 3), (2,)], range(1, 4)),
+        True,
+    ),
+    "Arrangement": (
+        lambda: Arrangement([((2, 3), CHERRY), ((1, 4), CHERRY)]),
+        lambda: Arrangement._trusted([((1, 4), CHERRY), ((2, 3), CHERRY)]),
+        True,
+    ),
+    "LaurentSeries": (
+        lambda: LaurentSeries(0, [0, 1, delta(1)]),
+        lambda: LaurentSeries._trusted(1, [1, Polynomial.from_variable(delta(1))], 3),
+        False,
+    ),
+    "TransformTable": (
+        lambda: TransformTable(1, "moments", "yoshida", [Polynomial.parse("1*C1")]),
+        None,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_semantics(name):
+    build, trusted, hashable = VALUES[name]
+    value, twin = build(), (trusted or build)()
+    assert type(value).__name__ == name
+    for slot in (*type(value).__slots__, "other"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, slot, None)
+    assert value == twin and value is not twin
+    for other in (VALUES[min(VALUES.keys() - {name})][0](), value._key()):
+        assert not value == other and not other == value
+    if hashable:
+        assert hash(value) == hash(twin)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 def test_arrangement_json():

@@ -21,8 +21,8 @@ table read by ``cumulants_from_moments``:
   through ``trees._summary`` (blocks as leaf masks), memoised over the
   subtrees they share;
 * ``lagrange`` -- residue extraction from a Laurent-series identity that
-  involves a Hadamard product, in one pass with a running power of
-  1/(M⊙Δ).
+  involves a Hadamard product, reading every power of 1/(M⊙Δ) off its first
+  power: each term is rescaled by a binomial in its degree in the weights.
 
 All three must produce identical polynomials; the test suite enforces this.
 Setting every weight variable to 1 specializes to free cumulants, setting
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .ncpart import (
     NoncrossingPartition,
@@ -66,6 +67,7 @@ from .poly import (
     _require_size,
     _shown,
     _Value,
+    _by_degree,
     as_fraction,
     cumulant,
     delta,
@@ -277,10 +279,8 @@ def _first_block(seq, deltas, inverse: bool, e: int = 1) -> list:
 
 @lru_cache(maxsize=None)
 def _moment_entries(n: int) -> tuple:
-    def variables(family):
-        return [Polynomial.from_variable(family(k)) for k in range(1, n + 1)]
-
-    return tuple(_first_block(variables(cumulant), variables(delta), False))
+    cs, ds = ([Polynomial.from_variable(f(k)) for k in range(1, n + 1)] for f in (cumulant, delta))
+    return tuple(_first_block(cs, ds, False))
 
 
 def moments_from_cumulants(n: int) -> TransformTable:
@@ -346,19 +346,19 @@ def _column_entries(column):
 def _lagrange_entries(n: int) -> tuple:
     """C_k = 1/(k-1) [z^-1] (M'/M^2 - z^-2) * h^(k-1) with h = 1/(M⊙Δ), k >= 2.
 
-    One pass with a running power of h; each residue is one convolution, from
-    z^-1 on, since M'/M^2 = 1*z^-2 + O(1).  The last entry reads h^(n-1) only
-    up to z^-1, so h^k keeps only the exponents below n - k.
+    Each residue is one convolution from z^-1 on (M'/M^2 = 1*z^-2 + O(1)) against h^(k-1)
+    read off h: M⊙Δ = z(1 + Y), Y = sum d_j*M_j*z^j, so [z^e] h^r is [z^(e+r-1)] h with each
+    term of d-degree l (its count of factors d_j*M_j) times C(r+l-1, l), by the negative binomial.
     """
     m = standard_series("M", n + 2)
-    inv = m.recip()
-    main = m.derivative() * (inv * inv)
+    main = m.derivative() * m.recip() ** 2
     h = m.hadamard(standard_series("Delta", n + 2)).recip()
-    entries, pw = [Polynomial.from_variable(moment(1))], h
+    parts = [_by_degree(h._at(j), DELTA) for j in range(n - 2, -2, -1)]  # z^(n-2) down to z^-1
+    entries, row = [Polynomial.from_variable(moment(1))], [1] + [0] * n  # C(r+l-1, l) at r = 0
     for k in range(2, n + 1):
-        residue = dot((main._at(i), pw._at(-1 - i)) for i in range(-1, -pw.low))
-        entries.append(residue * Fraction(1, k - 1))
-        pw = (pw * h).truncate(n - k)
+        row = list(accumulate(row))  # r = k - 1, by the hockey stick
+        scaled = (dot((row[l], q) for l, q in p.items()) for p in parts[n - k:])
+        entries.append(dot(zip(map(main._at, range(-1, k - 1)), scaled)) * Fraction(1, k - 1))
     return tuple(entries)
 
 

@@ -218,10 +218,7 @@ def enumerate_interval(n: int) -> tuple:
 
 def arcs(p: NoncrossingPartition) -> tuple:
     """Consecutive pairs inside each block, in block order."""
-    out = []
-    for b in p.blocks:
-        out.extend(zip(b, b[1:]))
-    return tuple(out)
+    return tuple(chain.from_iterable(zip(b, b[1:]) for b in p.blocks))
 
 
 @lru_cache(maxsize=None)

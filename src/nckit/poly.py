@@ -26,10 +26,11 @@ two kernels stay written out: their inner runs are short (about 12 terms per
 outer pass in a lagrange build), and each shared helper tried cost 3-7% on the
 `tables` and `lagrange` benchmarks.
 
-`split_by_family`, `substitute` and `evaluate` read terms through one grouping,
-`_group`: by the part of each key inside a field mask, then by the rest.
-`substitute` builds each distinct assigned part's value once, from a smaller
-part's, and sums group times value in one `dot`; `evaluate` is its scalar case.
+`split_by_family`, `substitute`, `evaluate` and the degree split `_by_degree`
+read terms through one grouping, `_group`: by the part of each key inside a
+field mask, then by the rest.  `substitute` builds each distinct assigned
+part's value once, from a smaller part's, and sums group times value in one
+`dot`; `evaluate` is its scalar case.  `_by_degree` sums each part's exponents.
 
 Rendering is canonical and parseable: terms in graded-lex descending order
 (variable order d1 < d2 < ... < M1 < M2 < ... < C1 < C2 < ...), each term with
@@ -434,7 +435,7 @@ def as_fraction(x) -> Fraction:
     """An int (not a bool) or a Fraction as a Fraction; TypeError otherwise."""
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"not an exact rational: {_shown(x)}")
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def _coefficient(x) -> Scalar:
@@ -559,6 +560,15 @@ def _group(terms: dict, fields: int) -> dict[int, dict[int, Scalar]]:
         part = key & fields
         groups.setdefault(part, {})[key ^ part] = coeff
     return groups
+
+
+def _by_degree(x, family: int) -> dict[int, Polynomial]:
+    """x, a Polynomial or an exact scalar, split by the degree of its terms in one family."""
+    parts: dict[int, dict[int, Scalar]] = {}
+    for part, rest in _group(_ring_item(x)._terms, _MASKS.get(family, 0)).items():
+        degree = sum(exp for _, exp in _unpack(part))
+        parts.setdefault(degree, {}).update((key + part, coeff) for key, coeff in rest.items())
+    return {degree: Polynomial._raw(terms) for degree, terms in parts.items()}
 
 
 def shift_sum(pairs: Iterable[tuple[int, Polynomial]]) -> Polynomial:

@@ -1,6 +1,7 @@
 """Tests for the moment/cumulant transform tables and the pairing apparatus."""
 
 import csv
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -61,7 +62,9 @@ from nckit.ncpart import (
     zeta_arc_form,
     zeta_c,
 )
-from nckit.poly import DELTA, Polynomial, cumulant, delta, moment, poly_sum, specialize_family
+from nckit.poly import (
+    DELTA, Polynomial, cumulant, delta, dot, moment, poly_sum, specialize_family,
+)
 from nckit.series import (
     LaurentSeries,
     constant_series,
@@ -163,6 +166,37 @@ def test_lagrange_one_pass_matches_per_entry_formula():
     oracle = tuple(lagrange_entry(k) for k in range(1, 11))
     for n in range(1, 11):
         assert _lagrange_entries(n) == oracle[:n], n
+
+
+def lagrange_by_running_power(n):
+    """The lagrange entries from a running power of h = 1/(M⊙Δ): one series
+    product per entry, truncated to the exponents the later entries read,
+    where the route reads each power off h by its binomial rescale."""
+    m = standard_series("M", n + 2)
+    inv = m.recip()
+    main = m.derivative() * (inv * inv)
+    h = m.hadamard(standard_series("Delta", n + 2)).recip()
+    entries, pw = [Polynomial.from_variable(moment(1))], h
+    for k in range(2, n + 1):
+        residue = dot((main._at(i), pw._at(-1 - i)) for i in range(-1, -pw.low))
+        entries.append(residue * Fraction(1, k - 1))
+        pw = (pw * h).truncate(n - k)
+    return tuple(entries)
+
+
+def test_lagrange_matches_the_running_power():
+    for n in range(1, 17):
+        assert _lagrange_entries(n) == lagrange_by_running_power(n), n
+
+
+# sha256 of the lagrange n=20 text, recorded where each entry read a running
+# power of h; its binomials reach about 10^10
+LAGRANGE_20_SHA256 = "833807d84b75b066d4f2115a5d0c892c1120bbfef98b5b90ff1f388366b8a8a5"
+
+
+def test_lagrange_render_at_n_20_is_pinned():
+    text = cumulants_from_moments(20, METHOD_LAGRANGE).render_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == LAGRANGE_20_SHA256
 
 
 def test_lagrange_entries_extend_by_one():

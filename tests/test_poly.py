@@ -437,6 +437,20 @@ def test_split_by_family():
     assert total == p
 
 
+def test_degree_split():
+    assert poly._by_degree(3, DELTA) == {0: P("3")}
+    assert poly._by_degree(Fraction(1, 2), MOMENT) == {0: P("1/2")}
+    assert poly._by_degree(Polynomial.zero(), DELTA) == {}
+    assert poly._by_degree(P("2*M1*M2 - 1*C1"), DELTA) == {0: P("2*M1*M2 - 1*C1")}
+    p = P("1*d1^2*M1 - 3*d1*d2*M2 + 1*d3*M3*C1 - 1*d2*M2 + 5*M1 + 4")
+    assert poly._by_degree(p, DELTA) == {
+        0: P("5*M1 + 4"),
+        1: P("1*d3*M3*C1 - 1*d2*M2"),
+        2: P("1*d1^2*M1 - 3*d1*d2*M2"),
+    }
+    assert poly._by_degree(p, MOMENT)[0] == P("4")
+
+
 def by_substitute(p, family, value):
     return p.substitute({v: value for v in p.variables() if v.family == family})
 
@@ -760,3 +774,14 @@ def test_public_values_are_fractions():
         assert type(value) is Fraction, value
     assert Polynomial.constant(3).as_rational() == 3
     assert p.evaluate({M1: 1}) == Fraction(7, 2)
+
+
+def test_as_fraction_hands_back_a_fraction_as_is():
+    q = Fraction(3, 7)
+    assert as_fraction(q) is q
+
+    class Ratio(Fraction):
+        pass
+
+    value = as_fraction(Ratio(3, 7))
+    assert type(value) is Fraction and value == q

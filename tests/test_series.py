@@ -1,11 +1,12 @@
 """Window bookkeeping, inversion and composition checks for the series engine."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nckit.poly import Polynomial, delta, moment
+from nckit.poly import DELTA, Polynomial, delta, moment
 from nckit.series import (
     LaurentSeries,
     NonUnitLeadingCoefficient,
@@ -274,6 +275,28 @@ def test_power_matches_repeated_products(f, k):
     p = f ** k
     q = power_by_products(f, k)
     assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+
+
+def binomial_rescale(p, r):
+    """p with each term of degree l in the d family times C(r+l-1, l), the
+    degree read off each monomial."""
+    def degree(mono):
+        return sum(exp for var, exp in mono if var.family == DELTA)
+
+    return Polynomial({mono: c * comb(r + degree(mono) - 1, degree(mono)) for mono, c in p.items()})
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_powers_of_the_lagrange_h_are_binomial_rescales_of_h(r):
+    # h = 1/(M⊙Δ) = z^-1 (1 + Y)^-1 with Y = sum d_j*M_j*z^j; by the negative
+    # binomial series [z^e] h^r is [z^(e+r-1)] h, each term of d-degree l (the
+    # count of its factors d_j*M_j) times C(r+l-1, l)
+    order = 12
+    h = standard_series("M", order).hadamard(standard_series("Delta", order)).recip()
+    power = h.power(r)
+    assert (power.low, power.order) == (-r, order - 1 - r)
+    for e in range(power.low, power.order):
+        assert power.coeff(e) == binomial_rescale(h.coeff(e + r - 1), r), (r, e)
 
 
 # -- composition -------------------------------------------------------------

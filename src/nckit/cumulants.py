@@ -22,7 +22,7 @@ table read by ``cumulants_from_moments``:
   subtrees they share;
 * ``lagrange`` -- residue extraction from a Laurent-series identity that
   involves a Hadamard product, reading every power of 1/(M⊙Δ) off its first
-  power: each term is rescaled by a binomial in its degree in the weights.
+  power (``series.negative_binomial_rows``, by degree in the weights).
 
 All three must produce identical polynomials; the test suite enforces this.
 Setting every weight variable to 1 specializes to free cumulants, setting
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 from .ncpart import (
     NoncrossingPartition,
@@ -78,7 +77,7 @@ from .poly import (
     specialize_family,
     variable_key,
 )
-from .series import standard_series
+from .series import negative_binomial_rows, standard_series
 from .trees import (
     Arrangement,
     _leaf_partition,
@@ -344,19 +343,14 @@ def _column_entries(column):
 
 @lru_cache(maxsize=None)
 def _lagrange_entries(n: int) -> tuple:
-    """C_k = 1/(k-1) [z^-1] (M'/M^2 - z^-2) * h^(k-1) with h = 1/(M⊙Δ), k >= 2.
-
-    Each residue is one convolution from z^-1 on (M'/M^2 = 1*z^-2 + O(1)) against h^(k-1)
-    read off h: M⊙Δ = z(1 + Y), Y = sum d_j*M_j*z^j, so [z^e] h^r is [z^(e+r-1)] h with each
-    term of d-degree l (its count of factors d_j*M_j) times C(r+l-1, l), by the negative binomial.
-    """
+    """C_k = 1/(k-1) [z^-1] (M'/M^2 - z^-2) * h^(k-1), k >= 2, h = 1/(M⊙Δ) and M'/M^2 = -(1/M)'
+    = z^-2 + O(1): one convolution from z^-1, h^(k-1) read off h by `negative_binomial_rows`."""
     m = standard_series("M", n + 2)
-    main = m.derivative() * m.recip() ** 2
+    main = -m.recip().derivative()
     h = m.hadamard(standard_series("Delta", n + 2)).recip()
     parts = [_by_degree(h._at(j), DELTA) for j in range(n - 2, -2, -1)]  # z^(n-2) down to z^-1
-    entries, row = [Polynomial.from_variable(moment(1))], [1] + [0] * n  # C(r+l-1, l) at r = 0
-    for k in range(2, n + 1):
-        row = list(accumulate(row))  # r = k - 1, by the hockey stick
+    entries = [Polynomial.from_variable(moment(1))]
+    for k, row in zip(range(2, n + 1), negative_binomial_rows(n + 1)):  # the row of r = k - 1
         scaled = (dot((row[l], q) for l, q in p.items()) for p in parts[n - k:])
         entries.append(dot(zip(map(main._at, range(-1, k - 1)), scaled)) * Fraction(1, k - 1))
     return tuple(entries)

@@ -21,18 +21,20 @@ arguments (bounds, exponents, orders) must be ints, not bools, else ``TypeError`
 The constructor validates; operations take the trusted path, `_trusted(low,
 coeffs, order)`, whose `_init_raw` only strips known-zero leading coefficients.
 
-Reciprocals and compositional inverses need the leading coefficient to be a
-nonzero rational, because those are the only units of the coefficient ring.
+Reciprocals and compositional inverses need a nonzero rational leading
+coefficient, the only units of the coefficient ring.  Each power of 1/M, with
+M = z(1 + Y), is read off 1/M itself by the rows of `negative_binomial_rows`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 from .poly import (
-    Polynomial, Variable, _Value, _coefficient, _require_int, _require_size, _shown, as_polynomial,
-    cumulant, delta, dot, moment, power_by_squaring,
+    MOMENT, Polynomial, Variable, _Value, _by_degree, _coefficient, _require_int, _require_size,
+    _shown, as_polynomial, cumulant, delta, dot, moment, power_by_squaring,
 )
 
 
@@ -303,13 +305,13 @@ _SERIES_KINDS = ("M", "Delta", "C", "F", "B")
 
 
 def standard_series(kind: str, order: int) -> LaurentSeries:
-    """Named generating functions on a window of the given order.
+    """Named generating functions on a window of order >= 2 (M, Delta) or >= 1, else ValueError.
 
     M     z + M1*z^2 + M2*z^3 + ...
     Delta z + d1*z^2 + d2*z^3 + ...
     C     C1 + C2*z + C3*z^2 + ...
     F     free cumulants of the moment sequence, F1 + F2*z + ..., with each
-          F_n expanded as a polynomial in the M variables
+          F_n expanded as a polynomial in the M variables, read off 1/M
     B     boolean cumulants of the moment sequence, likewise in M variables
     """
     if kind not in _SERIES_KINDS:
@@ -319,25 +321,29 @@ def standard_series(kind: str, order: int) -> LaurentSeries:
         if order < 2:
             raise ValueError("need order >= 2 to hold the leading z term")
         var = moment if kind == "M" else delta
-        return LaurentSeries(
-            1, [1] + [var(k - 1) for k in range(2, order)], order
-        )
+        return LaurentSeries(1, [1] + [var(k - 1) for k in range(2, order)], order)
+    if order < 1:
+        raise ValueError("need order >= 1")
     if kind == "C":
-        if order < 1:
-            raise ValueError("need order >= 1")
         return LaurentSeries(0, [cumulant(k + 1) for k in range(order)], order)
+    inv = standard_series("M", order + 2).recip()
     if kind == "B":
-        m = standard_series("M", order + 2)
-        return monomial_series(-1, 1, order) - m.recip()
-    # kind == "F": F_n = -1/(n-1) [z^1] M^{-(n-1)} for n >= 2, F_1 = M_1
-    m = standard_series("M", order + 2)
-    inv = m.recip()
-    coeffs, pw = [moment(1)], inv
-    for n in range(2, order + 1):
-        coeffs.append(pw.coeff(1) * Fraction(-1, n - 1))
-        if n <= order - 1:
-            pw = pw * inv
+        return monomial_series(-1, 1, order) - inv
+    coeffs = [moment(1)]  # F: F_(r+1) = -1/r [z^1] M^-r, read off [z^r] 1/M
+    for r, row in zip(range(1, order), negative_binomial_rows(order + 1)):
+        parts = _by_degree(inv._at(r), MOMENT).items()
+        coeffs.append(dot((row[l], q) for l, q in parts) * Fraction(-1, r))
     return LaurentSeries(0, coeffs, order)
+
+
+def negative_binomial_rows(width: int) -> Iterator[list]:
+    """C(r+l-1, l) for l < width, one row per r = 1, 2, ...  If M = z(1 + Y), each coefficient
+    of Y of degree 1 in one family, then [z^e] M^-r is [z^(e+r-1)] 1/M with each term of degree
+    l in that family times C(r+l-1, l): the negative binomial series of (1 + Y)^-r."""
+    row = [1] + [0] * (width - 1)  # r = 0
+    while True:
+        row = list(accumulate(row))  # the hockey stick: row r from row r - 1
+        yield row
 
 
 def lagrange_coeff_inverse(f: LaurentSeries, n: int):

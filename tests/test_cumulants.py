@@ -160,6 +160,8 @@ def test_lagrange_main_series_starts_with_one_z_to_the_minus_2(n):
     main = m.derivative() * m.recip() ** 2
     assert main.low == -2
     assert main._at(-2) == 1
+    # M'/M^2 = -(1/M)', the form the route builds with no series product
+    assert -m.recip().derivative() == main  # window and coefficients
 
 
 def test_lagrange_one_pass_matches_per_entry_formula():
@@ -197,6 +199,17 @@ LAGRANGE_20_SHA256 = "833807d84b75b066d4f2115a5d0c892c1120bbfef98b5b90ff1f388366
 def test_lagrange_render_at_n_20_is_pinned():
     text = cumulants_from_moments(20, METHOD_LAGRANGE).render_text()
     assert hashlib.sha256(text.encode()).hexdigest() == LAGRANGE_20_SHA256
+
+
+def test_lagrange_and_free_series_multiply_no_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a series product")
+
+    for name in ("__mul__", "__rmul__", "__pow__", "power"):
+        monkeypatch.setattr(LaurentSeries, name, refuse)
+    _lagrange_entries.cache_clear()
+    assert len(_lagrange_entries(12)) == 12
+    assert standard_series("F", 12).order == 12
 
 
 def test_lagrange_entries_extend_by_one():

@@ -246,6 +246,8 @@ SIZED = {
     "lagrange_coeff_inverse": (lambda n: lagrange_coeff_inverse(standard_series("M", 4), n), 1),
     "constant_series": (lambda n: constant_series(1, n), 1),
     "standard_series": (lambda n: standard_series("C", n), 1),
+    "standard_series_F": (lambda n: standard_series("F", n), 1),
+    "standard_series_B": (lambda n: standard_series("B", n), 1),
 }
 
 
@@ -259,3 +261,11 @@ def test_sizes_are_ints_from_the_least(name):
             build(bad)
     with pytest.raises(ValueError):
         build(least - 1)
+
+
+@pytest.mark.parametrize("kind", "CFB")
+def test_cumulant_series_need_order_at_least_1(kind):
+    # F and B are built from M on a larger window, whose own checks must not answer
+    for order in (0, -1):
+        with pytest.raises(ValueError, match=r"^need order >= 1$"):
+            standard_series(kind, order)

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nckit.poly import DELTA, Polynomial, delta, moment
+from nckit.poly import DELTA, MOMENT, Polynomial, delta, moment
 from nckit.series import (
     LaurentSeries,
     NonUnitLeadingCoefficient,
@@ -277,26 +277,45 @@ def test_power_matches_repeated_products(f, k):
     assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
 
 
-def binomial_rescale(p, r):
-    """p with each term of degree l in the d family times C(r+l-1, l), the
+def binomial_rescale(p, r, family):
+    """p with each term of degree l in the family times C(r+l-1, l), the
     degree read off each monomial."""
     def degree(mono):
-        return sum(exp for var, exp in mono if var.family == DELTA)
+        return sum(exp for var, exp in mono if var.family == family)
 
     return Polynomial({mono: c * comb(r + degree(mono) - 1, degree(mono)) for mono, c in p.items()})
 
 
 @pytest.mark.parametrize("r", range(1, 8))
 def test_powers_of_the_lagrange_h_are_binomial_rescales_of_h(r):
-    # h = 1/(M⊙Δ) = z^-1 (1 + Y)^-1 with Y = sum d_j*M_j*z^j; by the negative
-    # binomial series [z^e] h^r is [z^(e+r-1)] h, each term of d-degree l (the
-    # count of its factors d_j*M_j) times C(r+l-1, l)
+    # h = 1/(M⊙Δ) = z^-1 (1 + Y)^-1 with Y = sum d_j*M_j*z^j, and 1/M likewise
+    # with Y = sum M_j*z^j; by the negative binomial series [z^e] h^r is
+    # [z^(e+r-1)] h, each term of degree l in the family (the count of its
+    # factors of Y) times C(r+l-1, l)
     order = 12
-    h = standard_series("M", order).hadamard(standard_series("Delta", order)).recip()
-    power = h.power(r)
-    assert (power.low, power.order) == (-r, order - 1 - r)
-    for e in range(power.low, power.order):
-        assert power.coeff(e) == binomial_rescale(h.coeff(e + r - 1), r), (r, e)
+    m = standard_series("M", order)
+    lagrange_h = m.hadamard(standard_series("Delta", order)).recip()
+    for h, family in ((lagrange_h, DELTA), (m.recip(), MOMENT)):
+        power = h.power(r)
+        assert (power.low, power.order) == (-r, order - 1 - r)
+        for e in range(power.low, power.order):
+            assert power.coeff(e) == binomial_rescale(h.coeff(e + r - 1), r, family), (family, r, e)
+
+
+def free_by_running_power(order):
+    """F_1..F_order from a running power of 1/M, one series product per
+    entry, where standard_series("F") reads each power off 1/M."""
+    inv = standard_series("M", order + 2).recip()
+    coeffs, pw = [moment(1)], inv
+    for n in range(2, order + 1):
+        coeffs.append(pw.coeff(1) * Fraction(-1, n - 1))
+        pw = pw * inv
+    return LaurentSeries(0, coeffs, order)
+
+
+def test_free_cumulant_series_matches_the_running_power():
+    for order in range(1, 17):
+        assert standard_series("F", order) == free_by_running_power(order), order
 
 
 # -- composition -------------------------------------------------------------

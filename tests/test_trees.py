@@ -1,5 +1,7 @@
 """Tests for plane trees, their partition map, and noncrossing arrangements."""
 
+import copy
+import pickle
 from fractions import Fraction
 from functools import reduce
 from math import prod
@@ -390,15 +392,17 @@ def test_value_semantics(name):
     build, trusted, hashable = VALUES[name]
     value, twin = build(), (trusted or build)()
     assert type(value).__name__ == name
-    for slot in (*type(value).__slots__, "other"):
-        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
-            setattr(value, slot, None)
-    assert value == twin and value is not twin
+    copies = [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+    for v in (value, *copies):
+        for slot in (*type(value).__slots__, "other"):
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                setattr(v, slot, None)
+    for v in (twin, *copies):
+        assert type(v) is type(value) and v == value and v is not value
+        assert not hashable or hash(v) == hash(value)
     for other in (VALUES[min(VALUES.keys() - {name})][0](), value._key()):
         assert not value == other and not other == value
-    if hashable:
-        assert hash(value) == hash(twin)
-    else:
+    if not hashable:
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
 

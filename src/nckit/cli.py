@@ -277,9 +277,8 @@ def _parse_rationals(text: str, flag: str) -> list[Fraction]:
 
 
 def _cmd_convert(args) -> int:
-    wanted = "--moments" if args.direction == "cumulants" else "--cumulants"
-    given = args.moments if args.direction == "cumulants" else args.cumulants
-    other = args.cumulants if args.direction == "cumulants" else args.moments
+    source = "moments" if args.direction == "cumulants" else "cumulants"  # the input's name
+    wanted, given, other = f"--{source}", getattr(args, source), getattr(args, args.direction)
     if given is None:
         raise _UsageError(
             f"--direction {args.direction} needs the input sequence via {wanted}"

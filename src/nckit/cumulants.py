@@ -29,10 +29,10 @@ Setting every weight variable to 1 specializes to free cumulants, setting
 them all to 0 to boolean cumulants.  Numeric conversion accepts only exact
 scalars (ints and Fractions) and raises ``TypeError`` on anything else.
 
-The mobius and trees routes share only ``poly.shift_sum`` (each column value
-is shifted by its partition's moment product) and the set-bit walk
-``ncpart._bits``, no lattice or tree code, so their agreement is a real
-cross-check.
+Both column routes read entries 1..n off their column of size n (joining k+1..n
+to the block of k keeps the interval up to 1_n and its zeta weights) and share
+only that read-off, ``poly.shift_sum`` and the set-bit walk ``ncpart._bits``, no
+lattice or tree code, so their agreement is a real cross-check.
 
 The second half of the module is verification apparatus for the top column:
 its entries ``mu_column_via_trees``, read from the same tree column, their
@@ -45,7 +45,8 @@ hinges on.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import takewhile
 
 from .ncpart import (
     NoncrossingPartition,
@@ -331,14 +332,18 @@ def _tree_column(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _column_entry(column, k: int) -> Polynomial:
-    """Entry k of a column route: the column of size k against moment
-    products, each value shifted by the key of its partition's product."""
-    return shift_sum((_block_key(p), val) for p, val in column(k))
-
-
-def _column_entries(column):
-    return lambda n: tuple(_column_entry(column, k) for k in range(1, n + 1))
+def _column_entries(column, n: int) -> tuple:
+    """Entries 1..n of a column route off its column of size n: entry k sums the values of
+    the partitions whose block of n ends in the run k..n, keyed as if that block ended at k."""
+    top = column(n)  # before any M slot is made, so the column's d keys stay small ints
+    keys = [0] + [variable_key(moment(j)) for j in range(1, n + 1)]
+    pairs = [[] for _ in range(n)]
+    for p, val in top:
+        block = p.block_of(n)
+        rest = sum(keys[len(b)] for b in p.blocks) - keys[len(block)]
+        for cut in takewhile(lambda c: block[-1 - c] == n - c, range(len(block))):
+            pairs[n - 1 - cut].append((rest + keys[len(block) - cut], val))
+    return tuple(map(shift_sum, pairs))
 
 
 @lru_cache(maxsize=None)
@@ -357,8 +362,8 @@ def _lagrange_entries(n: int) -> tuple:
 
 
 _CUMULANT_ENTRIES = {
-    METHOD_MOBIUS: _column_entries(_mu_top_column),
-    METHOD_TREES: _column_entries(_tree_column),
+    METHOD_MOBIUS: partial(_column_entries, _mu_top_column),
+    METHOD_TREES: partial(_column_entries, _tree_column),
     METHOD_LAGRANGE: _lagrange_entries,
 }
 

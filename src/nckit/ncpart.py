@@ -300,10 +300,9 @@ def standardize(p: NoncrossingPartition) -> NoncrossingPartition:
 
 
 def _require_standard_ground(p: NoncrossingPartition) -> int:
-    n = p.size
-    if p.ground != tuple(range(1, n + 1)):
+    if p.ground and (p.ground[0], p.ground[-1]) != (1, p.size):  # sorted, distinct: ends decide
         raise GroundMismatch("operation needs ground set 1..n; standardize first")
-    return n
+    return p.size
 
 
 # -- Kreweras complement -----------------------------------------------------
@@ -411,8 +410,7 @@ def zeta_c_closed(a: NoncrossingPartition, b: NoncrossingPartition) -> Polynomia
     For a <= b: product over blocks B of b that avoid the minimum of the
     ground and whose min and max are separated in a, of d_{iota(a | hull(B)) - 1}.
     """
-    n = _require_standard_ground(a)
-    _require_standard_ground(b)
+    _require_standard_ground(a)  # leq raises GroundMismatch unless b shares it
     if not leq(a, b):
         return Polynomial.zero()
     owner = a._owner

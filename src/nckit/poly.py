@@ -131,11 +131,14 @@ class _Value:
         value._init_raw(*args)
         return value
 
-    def __reduce__(self):  # copy, deepcopy and pickle refill the slots through _fill
-        return object.__new__, (type(self),), tuple(map(self.__getattribute__, self.__slots__))
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild through _restore
+        return self._restore, tuple(map(self.__getattribute__, self.__slots__))
 
-    def __setstate__(self, state):
-        self._fill(*state)
+    @classmethod
+    def _restore(cls, *state):
+        value = object.__new__(cls)
+        value._fill(*state)
+        return value
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

@@ -240,10 +240,7 @@ class LaurentSeries(_Value):
 
     def comp_inverse(self) -> "LaurentSeries":
         """Compositional inverse of a series z*c + O(z^2) with c a nonzero rational."""
-        if self.is_zero or self.low != 1:
-            raise NotInvertible(
-                f"compositional inverse needs valuation exactly 1, got {self.low}"
-            )
+        self._require_linear()
         lead, c = self._unit_lead("linear")
         z = identity_series(self.order)
         tail = self - z.scale(lead)  # valuation >= 2 after the linear term cancels
@@ -251,6 +248,10 @@ class LaurentSeries(_Value):
         for _ in range(self.order - 2):
             g = (z - tail.compose(g)).scale(c)
         return g
+
+    def _require_linear(self) -> None:
+        if self.is_zero or self.low != 1:
+            raise NotInvertible(f"compositional inverse needs valuation exactly 1, got {self.low}")
 
     def _unit_lead(self, which: str):
         """The rational leading coefficient and its inverse, an int when integral."""
@@ -282,10 +283,8 @@ def zero_series(order: int, low: int | None = None) -> LaurentSeries:
     return LaurentSeries(low, [0] * (order - low), order)
 
 def constant_series(value, order: int) -> LaurentSeries:
-    _require_int(order, "order")
-    if order < 1:
-        raise ValueError("a constant needs order >= 1 to be visible")
-    return LaurentSeries(0, [value] + [0] * (order - 1), order)
+    _require_int(order, "order")  # monomial_series reads None as k + 1
+    return monomial_series(0, value, order)
 
 def monomial_series(k: int, value=1, order: int | None = None) -> LaurentSeries:
     _require_int(k, "k")
@@ -354,9 +353,6 @@ def lagrange_coeff_inverse(f: LaurentSeries, n: int):
     (order > n), else OutOfTruncationRange.
     """
     _require_size(n, 1)
-    if f.is_zero or f.low != 1:
-        raise NotInvertible(
-            f"compositional inverse needs valuation exactly 1, got {f.low}"
-        )
+    f._require_linear()
     z_over_f = f.recip().shift(1)
     return (z_over_f ** n).coeff(n - 1) * Fraction(1, n)

@@ -330,8 +330,7 @@ def phi(t: Tree) -> Arrangement:
             counter[0] += 1
             return ((counter[0],), LEAF)
         kids = [walk(c) for c in node]
-        for mid in kids[1:-1]:
-            components.append(mid)
+        components.extend(kids[1:-1])
         (lp, ls), (rp, rs) = kids[0], kids[-1]
         return (lp + rp, (ls, rs))
 

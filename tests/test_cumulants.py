@@ -25,6 +25,7 @@ from nckit.cumulants import (
     PreconditionViolated,
     TransformTable,
     _CUMULANT_ENTRIES,
+    _block_key,
     _coarsenings,
     _column_entries,
     _first_block,
@@ -63,7 +64,7 @@ from nckit.ncpart import (
     zeta_c,
 )
 from nckit.poly import (
-    DELTA, Polynomial, cumulant, delta, dot, moment, poly_sum, specialize_family,
+    DELTA, Polynomial, cumulant, delta, dot, moment, poly_sum, shift_sum, specialize_family,
 )
 from nckit.series import (
     LaurentSeries,
@@ -502,7 +503,34 @@ def test_mobius_past_the_witness_evaluates_to_numeric_convert(mobius_columns):
     point = {moment(k): ms[k - 1] for k in range(1, n + 1)}
     point.update({delta(k): ds[k - 1] for k in range(1, n + 1)})
     expected = numeric_convert(ms, ds, DIRECTION_CUMULANTS)
-    assert [e.evaluate(point) for e in _column_entries(mobius_columns)(n)] == expected
+    assert [e.evaluate(point) for e in _column_entries(mobius_columns, n)] == expected
+
+
+def entries_by_size(column, n):
+    """Entries 1..n of a column route, one column per size: entry k is the
+    column of size k against moment products (the path before the read-off)."""
+    return tuple(
+        shift_sum((_block_key(p), val) for p, val in column(k)) for k in range(1, n + 1)
+    )
+
+
+def test_column_entries_are_read_off_the_top_column(mobius_columns):
+    for column, top in ((mobius_columns, 9), (_tree_column, 8)):
+        for n in range(1, top + 1):
+            assert _column_entries(column, n) == entries_by_size(column, n), (column, n)
+
+
+def test_appending_to_the_last_block_keeps_the_column_value(mobius_columns):
+    # iota(p) joins k+1..n to the block of k: the interval [iota(p), 1_n] is
+    # [p, 1_k] with the same zeta weights, so the column value is unchanged
+    for column in (mobius_columns, _tree_column):
+        for n in range(2, 9):
+            top = dict(column(n))
+            for k in range(1, n):
+                tail, values = tuple(range(k + 1, n + 1)), dict(column(k))
+                for p in enumerate_nc(k):
+                    image = NoncrossingPartition([b + tail if k in b else b for b in p.blocks])
+                    assert top[image] == values[p], (n, p)
 
 
 # -- round trips -------------------------------------------------------------
@@ -833,6 +861,7 @@ def test_cache_clearing_is_consistent():
 def test_clear_caches_empties_every_package_cache():
     import sys
 
+    clear_caches()
     for method in CUMULANT_METHODS:
         cumulants_from_moments(4, method)
     moments_from_cumulants(4)
@@ -847,6 +876,8 @@ def test_clear_caches_empties_every_package_cache():
     assert any(f.cache_info().currsize for f in caches.values())
     assert caches["nckit.ncpart.kreweras"].cache_info().currsize
     assert caches["nckit.ncpart.kreweras_inv"].cache_info().currsize
+    # one entry per column route: the mobius and the trees table of size 4
+    assert caches["nckit.cumulants._column_entries"].cache_info().currsize == 2
     clear_caches()
     assert {
         name: f.cache_info().currsize

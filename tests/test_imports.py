@@ -19,6 +19,11 @@ __setattr__`` appear only inside the value base ``_Value``, so immutability,
 the trusted constructor and the slot fill stay written once.  The one named
 exception is ``Polynomial._raw``'s ``object.__new__``: the ring's hottest
 constructor stays off the base.
+
+Cache-placement lint: every ``lru_cache`` or ``cache`` (by that name or
+attribute) decorates a module-level ``def``.  ``clear_caches`` and the
+benchmark's cold-cache guard find caches by module namespace, so a cached
+nested function, lambda or method would stay warm and unseen.
 """
 
 import ast
@@ -289,4 +294,67 @@ def test_value_plumbing_lint_catches_each_form():
         "13: Box.__setattr__: object.__setattr__",
         "15: make: object.__setattr__",
         "16: make: object.__new__",
+    ]
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def misplaced_caches(source: str) -> list[str]:
+    """One "line: where: name" string per ``lru_cache`` or ``cache`` that is
+    not (part of) a decorator of a module-level ``def``."""
+    tree = ast.parse(source)
+    placed = {
+        id(sub)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+        for sub in ast.walk(decorator)
+    }
+    found = []
+
+    def visit(node, path: tuple) -> None:
+        if isinstance(node, DEFINITIONS):
+            path += (node.name,)
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in CACHES and id(node) not in placed:
+            found.append(f"{node.lineno}: {'.'.join(path) or '<module>'}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_cache_decorates_a_module_level_def(path):
+    assert misplaced_caches(path.read_text(encoding="utf-8")) == []
+
+
+def test_cache_placement_lint_catches_each_form():
+    planted = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def table(n):\n"
+        "    return n\n"
+        "@functools.cache\n"
+        "def column(n):\n"
+        "    @lru_cache(maxsize=None)\n"
+        "    def entry(k):\n"
+        "        return k\n"
+        "    return entry(n)\n"
+        "entries = lru_cache(maxsize=None)(lambda n: table(n))\n"
+        "class Box:\n"
+        "    @cache\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "def make():\n"
+        "    return functools.cache(lambda n: n)\n"
+    )
+    assert misplaced_caches(planted) == [
+        "8: column.entry: lru_cache",
+        "12: <module>: lru_cache",
+        "14: Box.size: cache",
+        "18: make: cache",
     ]

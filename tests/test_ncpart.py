@@ -292,6 +292,24 @@ def test_kreweras_needs_standard_ground():
         kreweras(p)
 
 
+def test_standard_ground_is_read_off_its_ends():
+    # a ground is sorted and duplicate-free, so its two ends tell 1..n apart
+    # from a shifted run 2..n+1 and from a ground with a hole, (1, 2, 4)
+    holed = NoncrossingPartition([[1, 2], [4]])
+    for n in range(1, 6):
+        shifted = NoncrossingPartition([range(2, n + 2)])
+        for p in (shifted, holed):
+            for check in (kreweras, kreweras_inv, lambda q: zeta_c_closed(q, q)):
+                with pytest.raises(GroundMismatch):
+                    check(p)
+            with pytest.raises(GroundMismatch):
+                zeta_c_closed(finest(p.size), p)
+        assert kreweras(standardize(shifted)) == finest(n)
+        assert kreweras_inv(finest(n)) == standardize(shifted)
+    assert kreweras(standardize(holed)) == NoncrossingPartition([[1], [2, 3]])
+    assert kreweras(finest(0)) == finest(0) == standardize(finest(0))
+
+
 # -- interval closure --------------------------------------------------------
 
 def test_smallest_interval_above_examples():

@@ -407,6 +407,18 @@ def test_value_semantics(name):
             hash(value)
 
 
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_no_public_call_refills_a_live_value(name):
+    # copies rebuild through a private classmethod, so no __setstate__ is left
+    # to rewrite the slots of a value that already exists
+    value = VALUES[name][0]()
+    key = value._key()
+    state = tuple(getattr(value, slot) for slot in type(value).__slots__)
+    with pytest.raises(AttributeError):
+        value.__setstate__(state)
+    assert value._key() == key
+
+
 def test_arrangement_json():
     a = Arrangement([((1, 4), CHERRY), ((2, 3), CHERRY)])
     assert a.to_json_list() == [

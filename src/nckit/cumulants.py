@@ -16,10 +16,9 @@ table read by ``cumulants_from_moments``:
   monomial with coefficient 1, so each step is a run of monomial shifts into
   one accumulator; the default route;
 * ``trees``    -- a signed sum over prime plane trees, each contributing the
-  moment product of its partition times its weight; the trees of size n are
-  summed once into one column of (partition, signed weight) pairs, each read
-  through ``trees._summary`` (blocks as leaf masks), memoised over the
-  subtrees they share;
+  moment product of its partition times its weight; the trees of one partition
+  are summed by their root's block, whose children are trees on runs of leaves,
+  with no tree built (the subtree sums are memoised by blocks as leaf masks);
 * ``lagrange`` -- residue extraction from a Laurent-series identity that
   involves a Hadamard product, reading every power of 1/(M⊙Δ) off its first
   power (``series.negative_binomial_rows``, by degree in the weights).
@@ -31,11 +30,12 @@ scalars (ints and Fractions) and raises ``TypeError`` on anything else.
 
 Both column routes read entries 1..n off their column of size n (joining k+1..n
 to the block of k keeps the interval up to 1_n and its zeta weights) and share
-only that read-off, ``poly.shift_sum`` and the set-bit walk ``ncpart._bits``, no
-lattice or tree code, so their agreement is a real cross-check.
+only that read-off, ``enumerate_nc``, ``ncpart._delta_key``, ``poly.shift_sum``
+and the set-bit walk ``ncpart._bits``, no lattice code; ``lagrange`` shares none
+of them, so the agreement of the three is a real cross-check.
 
 The second half of the module is verification apparatus for the top column:
-its entries ``mu_column_via_trees``, read from the same tree column, their
+its entries ``mu_column_via_trees``, each summed by the trees route, their
 zeta-weighted accumulations ``w_rho`` (equal to 1 at the full partition and 0
 elsewhere), and the sign-reversing involution ``psi`` on arrangements that
 proves the cancellation, together with the cover/interval-count identity it
@@ -46,12 +46,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import takewhile
+from itertools import accumulate, takewhile
 
 from .ncpart import (
     NoncrossingPartition,
     _bits,
     _coarsenings,
+    _delta_key,
     _require_standard_ground,
     _zeta_keys,
     enumerate_nc,
@@ -81,11 +82,8 @@ from .poly import (
 from .series import negative_binomial_rows, standard_series
 from .trees import (
     Arrangement,
-    _leaf_partition,
-    _summary,
     cover_counts,
     enumerate_arrangements,
-    enumerate_prime,
     n_leaves,
     partition_of,
     weight_arrangement,
@@ -309,26 +307,33 @@ def _mu_top_column(n: int) -> tuple:
     return tuple(zip(parts, values))
 
 
+def _root_sum(blocks: tuple, size: int, leftmost: bool, root: int) -> Polynomial:
+    """Summed weights of the trees on ``size`` leaves whose root has the block ``root``: one
+    child per run of leaves cut at its elements, holding the blocks on the run's other leaves."""
+    value, lo = Polynomial.one(), 0
+    for hi in (*_bits(root), size - 1):
+        if hi > lo:  # a run of one leaf is a leaf, of weight 1
+            kids = tuple(b >> lo for b in blocks if b & (1 << hi) - (1 << lo))
+            value *= _subtree_sum(kids, hi - lo + 1, leftmost and not lo)
+        lo = hi + 1
+    return value
+
+
+@lru_cache(maxsize=None)
+def _subtree_sum(blocks: tuple, size: int, leftmost: bool) -> Polynomial:
+    """Summed ``weight_tree`` factors of the trees on ``size`` > 1 leaves that ``eta`` gives
+    these blocks (masks over leaves 0..size - 2, by lowest leaf), split by the root's block."""
+    reach = accumulate((b.bit_length() for b in blocks), max, initial=0)
+    return shift_sum(
+        (0 if leftmost else _delta_key(b.bit_count()), _root_sum(blocks, size, leftmost, b))
+        for b, r in zip(blocks, reach) if (b & -b).bit_length() > r  # under no arc
+    )
+
+
 @lru_cache(maxsize=None)
 def _tree_column(n: int) -> tuple:
-    """Pairs (partition, signed weight of the prime trees mapping to it).
-
-    Each prime tree is read through ``trees._summary``, memoised by identity
-    over the subtrees the trees of size n share: its blocks are the partition
-    ``eta`` reads off it and its key off the leftmost branch is the weight
-    ``weight_tree`` reads; one partition is built per block tuple, with sign
-    (-1)^(blocks - 1).
-    """
-    memo: dict[int, tuple] = {}  # the enumerated trees keep every id alive
-    groups: dict[tuple, list] = {}
-    for t in enumerate_prime(n):
-        _, blocks, _, key = _summary(t, memo)
-        groups.setdefault(blocks, []).append(key)
-    column = []
-    for blocks, keys in groups.items():
-        sign = Polynomial.constant((-1) ** (len(blocks) - 1))
-        column.append((_leaf_partition(blocks, n), shift_sum((key, sign) for key in keys)))
-    return tuple(column)
+    """Pairs (partition, signed weight of the prime trees mapping to it)."""
+    return tuple((p, mu_column_via_trees(p)) for p in enumerate_nc(n))
 
 
 @lru_cache(maxsize=None)
@@ -381,11 +386,12 @@ def cumulants_from_moments(n: int, method: str = DEFAULT_METHOD) -> TransformTab
 
 
 def mu_column_via_trees(p: NoncrossingPartition) -> Polynomial:
-    """Signed weighted count of prime trees mapping to the given partition.
-
-    Matches the top-column entry of the inverse matrix at the partition (ground 1..n).
-    """
-    return dict(_tree_column(_require_standard_ground(p))).get(p, Polynomial.zero())
+    """Signed weighted count of prime trees mapping to the given partition: the top-column
+    entry of the inverse matrix at the partition (ground 1..n)."""
+    _require_size(_require_standard_ground(p), 1)
+    blocks = tuple(sum(1 << x - 1 for x in b) for b in p.blocks)
+    value = _root_sum(blocks, p.size + 1, True, max(blocks))  # the root has the block of n
+    return value if p.block_count % 2 else -value
 
 
 # -- specializations ---------------------------------------------------------

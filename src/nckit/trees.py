@@ -129,17 +129,16 @@ def enumerate_binary(m: int) -> tuple:
 
 # -- the partition of a prime tree ------------------------------------------
 
-def _summary(node: Tree, memo: dict) -> tuple:
+def _summary(node: Tree) -> tuple:
     """(leaves, blocks, d key of every vertex, d key off the leftmost branch).
 
     The blocks are those ``eta`` reads off the subtree, as masks over its
     leaves (bit i for leaf i + 1) in canonical order, so a child's blocks move
-    past its left siblings' leaves by one shift each.  ``memo`` maps id(subtree)
-    to its summary; the caller keeps the subtrees alive.
+    past its left siblings' leaves by one shift each.
     """
     if not node:
         return 1, (), 0, 0
-    kids = [memo.get(id(c)) or memo.setdefault(id(c), _summary(c, memo)) for c in node]
+    kids = [_summary(c) for c in node]
     offset, first, every, left = kids[0]
     own, rest, shifted = 0, 0, []
     for leaves, inner, key, _ in kids[1:]:
@@ -153,12 +152,6 @@ def _summary(node: Tree, memo: dict) -> tuple:
     return offset, (*first, own, *shifted), every, left + rest
 
 
-def _leaf_partition(blocks: tuple, n: int) -> NoncrossingPartition:
-    """The partition of 1..n whose blocks are the leaf masks of a summary
-    (shifted up one, bit i + 1 stands for leaf i + 1)."""
-    return NoncrossingPartition._trusted([tuple(_bits(m << 1)) for m in blocks], range(1, n + 1))
-
-
 @_bounded
 def eta(t: Tree) -> NoncrossingPartition:
     """Noncrossing partition read off a prime tree with n+1 leaves.
@@ -170,15 +163,15 @@ def eta(t: Tree) -> NoncrossingPartition:
     """
     if not is_prime(t):
         raise NotPrime("the partition map needs a prime tree")
-    leaves, blocks, _, _ = _summary(t, {})
-    return _leaf_partition(blocks, leaves - 1)
+    leaves, blocks, _, _ = _summary(t)
+    return NoncrossingPartition._trusted([tuple(_bits(m << 1)) for m in blocks], range(1, leaves))
 
 
 @_bounded
 def weight_tree(t: Tree) -> Polynomial:
     """Product of d_{deg(v)-1} over internal vertices off the leftmost branch;
     ValueError on a tree nested past the recursion limit."""
-    return Polynomial._raw({_summary(t, {})[3]: 1})
+    return Polynomial._raw({_summary(t)[3]: 1})
 
 
 # -- arrangements ------------------------------------------------------------

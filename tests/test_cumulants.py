@@ -31,6 +31,7 @@ from nckit.cumulants import (
     _first_block,
     _lagrange_entries,
     _mu_top_column,
+    _subtree_sum,
     _tree_column,
     boolean_cumulants,
     clear_caches,
@@ -75,8 +76,10 @@ from nckit.series import (
 )
 from nckit.trees import (
     Arrangement,
+    _trees_with_leaves,
     enumerate_arrangements,
     enumerate_prime,
+    enumerate_schroder,
     partition_of,
     weight_arrangement,
 )
@@ -402,8 +405,7 @@ def test_mu_n2_explicit():
 def tree_column_by_tree(n):
     """The tree column one prime tree at a time: each tree's weight goes to
     the partition it maps to, with sign (-1)^(blocks - 1).  Both are read by
-    the test walks, since ``eta`` and ``weight_tree`` share the column's
-    subtree summary."""
+    the test walks over enumerated trees, while the column builds no tree."""
     groups = {}
     for t in enumerate_prime(n):
         p = NoncrossingPartition(eta_by_walk(t), range(1, n + 1))
@@ -436,6 +438,40 @@ def test_tree_column_needs_the_standard_ground():
     for f in (mu_column_via_trees, w_rho):
         with pytest.raises(GroundMismatch):
             f(shifted)
+
+
+def test_tree_column_needs_a_nonempty_ground():
+    for f in (mu_column_via_trees, w_rho):
+        with pytest.raises(ValueError, match=r"^need n >= 1$"):
+            f(NoncrossingPartition([]))
+
+
+def leaf_masks(p):
+    return tuple(sum(1 << x - 1 for x in b) for b in p.blocks)
+
+
+def test_subtree_sums_count_the_schroder_trees():
+    # at every d = 1 the trees on m + 1 leaves, summed over the partitions
+    # their blocks make, are the little Schroder numbers 3, 11, 45, ...
+    for m in range(1, 9):
+        for leftmost in (True, False):
+            total = sum(
+                specialize_family(_subtree_sum(leaf_masks(p), m + 1, leftmost), DELTA, 1)
+                for p in enumerate_nc(m)
+            )
+            assert total == len(enumerate_schroder(m)), (m, leftmost)
+    assert len(enumerate_schroder(8)) == 20793
+
+
+def test_tree_column_counts_the_prime_trees():
+    # and the prime trees on n + 1 leaves, one per tree up to the sign: 1, 2, 6, ...
+    for n in range(1, 9):
+        total = sum(
+            (-1) ** (p.block_count - 1) * specialize_family(value, DELTA, 1)
+            for p, value in _tree_column(n)
+        )
+        assert total == len(enumerate_prime(n)), n
+    assert len(enumerate_prime(8)) == 8558
 
 
 def test_v_pi_top_value():
@@ -506,6 +542,24 @@ def test_mobius_past_the_witness_evaluates_to_numeric_convert(mobius_columns):
     assert [e.evaluate(point) for e in _column_entries(mobius_columns, n)] == expected
 
 
+def test_tree_column_at_n_10_specializes_to_the_mobius_functions():
+    # the closed forms above, past the mobius route's reach in the suite
+    for p, value in _tree_column(10):
+        free, boolean = mobius_values(p)
+        assert specialize_family(value, DELTA, 1) == free, p
+        assert specialize_family(value, DELTA, 0) == boolean, p
+
+
+def test_trees_past_the_witness_evaluates_to_numeric_convert():
+    n, rng = 10, random.Random(10)
+    ms, ds = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in "md")
+    point = {moment(k): ms[k - 1] for k in range(1, n + 1)}
+    point.update({delta(k): ds[k - 1] for k in range(1, n + 1)})
+    expected = numeric_convert(ms, ds, DIRECTION_CUMULANTS)
+    table = cumulants_from_moments(n, METHOD_TREES)
+    assert [e.evaluate(point) for e in table.entries] == expected
+
+
 def entries_by_size(column, n):
     """Entries 1..n of a column route, one column per size: entry k is the
     column of size k against moment products (the path before the read-off)."""
@@ -531,6 +585,20 @@ def test_appending_to_the_last_block_keeps_the_column_value(mobius_columns):
                 for p in enumerate_nc(k):
                     image = NoncrossingPartition([b + tail if k in b else b for b in p.blocks])
                     assert top[image] == values[p], (n, p)
+
+
+def test_dropping_a_leading_singleton_pair_keeps_the_column_value(mobius_columns):
+    # the left-hand twin of the test above: if 1 ~ 2 in p, removing 1 and
+    # shifting the ground down keeps the column value
+    for column in (mobius_columns, _tree_column):
+        for n in range(2, 10):
+            values, twins = dict(column(n - 1)), 0
+            for p, value in column(n):
+                if p.block_of(1)[1:2] == (2,):
+                    rest = [[x - 1 for x in b if x != 1] for b in p.blocks]
+                    assert value == values[NoncrossingPartition(rest)], (n, p)
+                    twins += 1
+            assert twins == len(values), n  # one p per partition of n - 1
 
 
 # -- round trips -------------------------------------------------------------
@@ -858,10 +926,17 @@ def test_cache_clearing_is_consistent():
     assert kept.render() == text
 
 
-def test_clear_caches_empties_every_package_cache():
+def test_clear_caches_empties_every_package_cache(capsys):
     import sys
 
+    from nckit.cli import main
+
     clear_caches()
+    assert main(["table", "delta", "--direction", "cumulants", "--method", "trees", "--n", "4"]) == 0
+    assert capsys.readouterr().out.startswith("C1 = 1*M1\n")
+    # the trees route sums over partitions and builds no tree
+    assert _trees_with_leaves.cache_info().currsize == 0
+    assert _subtree_sum.cache_info().currsize
     for method in CUMULANT_METHODS:
         cumulants_from_moments(4, method)
     moments_from_cumulants(4)
@@ -878,6 +953,7 @@ def test_clear_caches_empties_every_package_cache():
     assert caches["nckit.ncpart.kreweras_inv"].cache_info().currsize
     # one entry per column route: the mobius and the trees table of size 4
     assert caches["nckit.cumulants._column_entries"].cache_info().currsize == 2
+    assert caches["nckit.cumulants._subtree_sum"].cache_info().currsize
     clear_caches()
     assert {
         name: f.cache_info().currsize

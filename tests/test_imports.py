@@ -20,6 +20,11 @@ the trusted constructor and the slot fill stay written once.  The one named
 exception is ``Polynomial._raw``'s ``object.__new__``: the ring's hottest
 constructor stays off the base.
 
+Route-independence lint: the trees route (the module-level functions of
+``cumulants.py`` reached from ``_tree_column``) reads no lattice name, and the
+mobius route (reached from ``_mu_top_column``) reads no trees-route function,
+so the agreement of the two columns stays a cross-check of both.
+
 Cache-placement lint: every ``lru_cache`` or ``cache`` (by that name or
 attribute) decorates a module-level ``def``.  ``clear_caches`` and the
 benchmark's cold-cache guard find caches by module namespace, so a cached
@@ -357,4 +362,71 @@ def test_cache_placement_lint_catches_each_form():
         "12: <module>: lru_cache",
         "14: Box.size: cache",
         "18: make: cache",
+    ]
+
+
+LATTICE_NAMES = {"leq", "_coarsenings", "_zeta_keys", "_mu_top_column"}
+LATTICE_PREFIXES = ("zeta", "kreweras")
+
+
+def _route(defs: dict, root: str) -> set[str]:
+    """The module-level functions reached from root through the names they read."""
+    route, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in route:
+            route.add(name)
+            todo += _references(defs[name])
+    return route
+
+
+def _functions(source: str) -> dict:
+    tree = ast.parse(source)
+    return {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def route_crossings(source: str) -> list[str]:
+    """One "line: function: name" string per lattice name the trees route reads
+    and per trees-route function the mobius route reads."""
+    defs = _functions(source)
+    trees = _route(defs, "_tree_column")
+    crossings = []
+    for route, banned in (
+        (trees, lambda name: name in LATTICE_NAMES or name.startswith(LATTICE_PREFIXES)),
+        (_route(defs, "_mu_top_column"), trees.__contains__),
+    ):
+        crossings += [
+            (defs[f].lineno, f, name)
+            for f in route
+            for name in _references(defs[f])
+            if banned(name)
+        ]
+    return [f"{line}: {f}: {name}" for line, f, name in sorted(crossings)]
+
+
+def test_the_column_routes_read_none_of_each_other():
+    source = (Path(nckit.__file__).parent / "cumulants.py").read_text(encoding="utf-8")
+    assert route_crossings(source) == []
+    # the lint sees the whole route, not only its entry point
+    assert {"mu_column_via_trees", "_subtree_sum"} <= _route(_functions(source), "_tree_column")
+
+
+def test_route_lint_catches_each_crossing():
+    planted = (
+        "from .ncpart import leq, zeta_c, kreweras\n"
+        "def _tree_column(n):\n"
+        "    return [mu_column_via_trees(p) for p in enumerate_nc(n)]\n"
+        "def mu_column_via_trees(p):\n"
+        "    return _root_sum(p) if leq(p, p) else 0\n"
+        "def _root_sum(p):\n"
+        "    return kreweras(p).size\n"
+        "def _mu_top_column(n):\n"
+        "    return [_root_sum(p) * zeta_c(p, p) for p in enumerate_nc(n)]\n"
+        "def w_rho(rho):\n"
+        "    return leq(rho, rho) and _tree_column(rho.size)\n"
+    )
+    assert route_crossings(planted) == [
+        "4: mu_column_via_trees: leq",
+        "6: _root_sum: kreweras",
+        "8: _mu_top_column: _root_sum",
     ]

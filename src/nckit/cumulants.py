@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, takewhile
+from itertools import accumulate
 
 from .ncpart import (
     NoncrossingPartition,
@@ -346,7 +346,9 @@ def _column_entries(column, n: int) -> tuple:
     for p, val in top:
         block = p.block_of(n)
         rest = sum(keys[len(b)] for b in p.blocks) - keys[len(block)]
-        for cut in takewhile(lambda c: block[-1 - c] == n - c, range(len(block))):
+        for cut, x in enumerate(reversed(block)):
+            if x != n - cut:  # the run k..n ends the block of n
+                break
             pairs[n - 1 - cut].append((rest + keys[len(block) - cut], val))
     return tuple(map(shift_sum, pairs))
 

@@ -5,7 +5,8 @@ i < j < k < l have i,k in one block and j,l in another.  Each block
 contributes its consecutive pairs as arcs; an arc spanning g ground elements
 contributes the gap weight variable d_g (a gap of zero contributes 1).  All
 positional notions (gaps, intervals, standardization) are taken relative to
-the ground set, so restriction and relabeling commute with weights.
+the ground set, so restriction and relabeling commute with weights.  The block
+relation is one int, bit i*n + j set when positions i and j of n share a block.
 
 Partitions render as blocks joined by '|' with base-36 element digits, e.g.
 '146|23|5' or '78AB|9'.  The constructor validates; the package builds its own
@@ -53,7 +54,7 @@ def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
 class NoncrossingPartition(_Value):
     """Immutable noncrossing partition; hashable, canonically ordered blocks."""
 
-    __slots__ = ("ground", "blocks", "_owner", "_masks")
+    __slots__ = ("ground", "blocks", "_rel", "_masks")
 
     def __init__(self, blocks: Iterable[Iterable[int]], ground: Iterable[int] | None = None):
         """Raises NotAPartition unless the blocks are a noncrossing partition of the ground."""
@@ -86,16 +87,23 @@ class NoncrossingPartition(_Value):
                 raise NotAPartition("blocks cross")
 
     def _init_raw(self, blocks: Iterable[Sequence[int]], ground: Sequence[int]) -> None:
-        # the trusted path: the caller guarantees a valid noncrossing partition
-        # in canonical order, each block a sorted tuple, blocks by first element.
-        # The block structure is computed once: the index of the block owning
-        # each element, and one bitmask per block over ground positions
+        # the trusted path: the caller guarantees a valid noncrossing partition in
+        # canonical order, each block a sorted tuple, blocks by first element.  Row i
+        # of the relation (bits i*n up) is the block at position i, so refinement is
+        # inclusion; x sits at x - ground[0] on a run of integers, else at ground.index(x)
         blocks, ground = tuple(blocks), tuple(ground)
-        owner = {x: k for k, b in enumerate(blocks) for x in b}
-        masks = [0] * len(blocks)
-        for i, x in enumerate(ground):
-            masks[owner[x]] |= 1 << i
-        self._fill(ground, blocks, owner, tuple(masks))
+        n, base, places = len(ground), ground[0] if ground else 0, blocks
+        if ground and ground[-1] - base != n - 1:
+            base, places = 0, [[ground.index(x) for x in b] for b in blocks]
+        masks, rel = [], 0
+        for b in places:
+            m = spread = 0
+            for x in b:
+                m |= 1 << x - base
+                spread |= 1 << (x - base) * n
+            masks.append(m)
+            rel |= m * spread  # row i of the relation is m for each i of the block
+        self._fill(ground, blocks, rel, tuple(masks))
 
     # -- basics --------------------------------------------------------------
 
@@ -108,10 +116,10 @@ class NoncrossingPartition(_Value):
         return len(self.blocks)
 
     def block_of(self, x: int) -> tuple:
-        try:
-            return self.blocks[self._owner[x]]
-        except KeyError:
-            raise KeyError(f"{x} is not in the ground set") from None
+        for b in self.blocks:
+            if x in b:
+                return b
+        raise KeyError(f"{x} is not in the ground set")
 
     def _key(self) -> tuple:
         return self.ground, self.blocks
@@ -235,16 +243,16 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _arc_spans(p: NoncrossingPartition) -> list:
-    """Per arc (i, j) of p with ground positions strictly between i and j:
-    the first element of its block and the mask of those positions."""
+    """Per arc of p with ground positions strictly between its ends: the
+    position of its left end and the mask of the positions between."""
     spans = []
-    for block, mask in zip(p.blocks, p._masks):
+    for mask in p._masks:
         while mask & (mask - 1):  # an arc from the lowest element left
             low = mask & -mask
             mask ^= low
             inside = (mask & -mask) - (low << 1)
             if inside:
-                spans.append((block[0], inside))
+                spans.append((low.bit_length() - 1, inside))
     return spans
 
 
@@ -261,8 +269,7 @@ def leq(p: NoncrossingPartition, q: NoncrossingPartition) -> bool:
     """Refinement order: every block of p sits inside a block of q."""
     if p.ground != q.ground:
         raise GroundMismatch("cannot compare partitions of different ground sets")
-    owner, masks = q._owner, q._masks
-    return all(m & masks[owner[b[0]]] == m for b, m in zip(p.blocks, p._masks))
+    return p._rel & q._rel == p._rel
 
 
 def _coarsenings(parts: list) -> list:
@@ -282,9 +289,9 @@ def _coarsenings(parts: list) -> list:
 def restrict(p: NoncrossingPartition, subset: Iterable[int]) -> NoncrossingPartition:
     """Restriction to a union of blocks; raises NotBlockUnion otherwise."""
     target = set(subset)
-    if not target.issubset(p._owner):
+    if not target.issubset(p.ground):
         raise NotBlockUnion("subset stretches outside the ground set")
-    chosen = [p.blocks[k] for k in sorted({p._owner[x] for x in target})]
+    chosen = [b for b in p.blocks if not target.isdisjoint(b)]
     for b in chosen:
         if not target.issuperset(b):
             raise NotBlockUnion(f"block {b} is split by the subset")
@@ -293,10 +300,8 @@ def restrict(p: NoncrossingPartition, subset: Iterable[int]) -> NoncrossingParti
 
 def standardize(p: NoncrossingPartition) -> NoncrossingPartition:
     """Order-preserving relabel of the ground set onto 1..n."""
-    relabel = {x: i + 1 for i, x in enumerate(p.ground)}
-    return NoncrossingPartition._trusted(
-        [tuple(relabel[x] for x in b) for b in p.blocks], range(1, p.size + 1)
-    )
+    blocks = [tuple(_bits(m << 1)) for m in p._masks]  # position i becomes i + 1
+    return NoncrossingPartition._trusted(blocks, range(1, p.size + 1))
 
 
 def _require_standard_ground(p: NoncrossingPartition) -> int:
@@ -340,10 +345,10 @@ def smallest_interval_above(p: NoncrossingPartition) -> NoncrossingPartition:
     block containing it; no other block can straddle that boundary without
     crossing, so the walk is well defined.
     """
-    ground, owner, masks = p.ground, p._owner, p._masks
+    ground, n = p.ground, p.size
     out, start = [], 0
-    while start < len(ground):
-        stop = masks[owner[ground[start]]].bit_length()
+    while start < n:
+        stop = (p._rel >> start * n & (1 << n) - 1).bit_length()  # past the block at start
         out.append(ground[start:stop])
         start = stop
     return NoncrossingPartition._trusted(out, ground)
@@ -368,7 +373,12 @@ def zeta(p: NoncrossingPartition, q: NoncrossingPartition) -> Polynomial:
     """
     if not leq(p, q):
         return Polynomial.zero()
-    return Polynomial._raw({sum(_weight_key(restrict(p, b)) for b in q.blocks): 1})
+    return Polynomial._raw({sum(_restricted_weight_key(p, b) for b in q.blocks): 1})
+
+
+@lru_cache(maxsize=None)
+def _restricted_weight_key(p: NoncrossingPartition, block: tuple) -> int:
+    return _weight_key(restrict(p, block))
 
 
 def zeta_arc_form(p: NoncrossingPartition, q: NoncrossingPartition) -> Polynomial:
@@ -387,14 +397,12 @@ def zeta_arc_form(p: NoncrossingPartition, q: NoncrossingPartition) -> Polynomia
 def _zeta_keys(p: NoncrossingPartition, coarser) -> Iterator[int]:
     """The packed key of zeta_arc_form(p, q) for each q of ``coarser``, which
     the caller knows lie above p, so it skips ``leq``; p's arcs are read once."""
-    spans = _arc_spans(p)
+    spans = [inside << at * p.size for at, inside in _arc_spans(p)]  # in row `at`
     for q in coarser:
-        owner, masks = q._owner, q._masks
-        key = 0
-        for first, inside in spans:
-            between = masks[owner[first]] & inside
-            if between:
-                key += _delta_key(between.bit_count())
+        rel, key = q._rel, 0
+        for span in spans:
+            if between := (rel & span).bit_count():
+                key += _delta_key(between)
         yield key
 
 
@@ -413,10 +421,9 @@ def zeta_c_closed(a: NoncrossingPartition, b: NoncrossingPartition) -> Polynomia
     _require_standard_ground(a)  # leq raises GroundMismatch unless b shares it
     if not leq(a, b):
         return Polynomial.zero()
-    owner = a._owner
     key = sum(
         _delta_key(iota(restrict(a, range(block[0], block[-1] + 1))) - 1)
         for block in b.blocks
-        if 1 not in block and owner[block[0]] != owner[block[-1]]
+        if 1 not in block and block[-1] not in a.block_of(block[0])
     )
     return Polynomial._raw({key: 1})

@@ -845,6 +845,14 @@ def test_w_values():
             assert w_rho_via_arrangements(rho) == expected
 
 
+def test_w_values_at_random_rho_up_to_nine():
+    # w_rho filters the tree column by leq, so this runs the order past the n <= 6 sweeps
+    rng = random.Random(9)
+    for n in range(7, 10):
+        for rho in [coarsest(n), finest(n), *rng.sample(enumerate_nc(n), 8)]:
+            assert w_rho(rho) == (1 if rho == coarsest(n) else 0), rho
+
+
 def test_psi_involution_exhaustive():
     cases = 0
     for n in range(2, 6):

@@ -7,7 +7,7 @@ complex literal, the name ``float``, an import of ``math``, ``decimal`` or
 
 A second lint keeps each private layout in its home module: ``_terms`` (the
 packed monomials of a ``Polynomial``, the lint's first entry) in ``poly.py``,
-``_owner`` and ``_masks`` (the block structure of a ``NoncrossingPartition``)
+``_rel`` and ``_masks`` (the block structure of a ``NoncrossingPartition``)
 in ``ncpart.py``, and ``_partition`` (the kept partition of an
 ``Arrangement``) in ``trees.py``, and the key layout ``_KEYS``, ``_VARS``,
 ``_GUARD`` and ``_MASKS`` (the variable slots, the guard bits and the family
@@ -93,7 +93,7 @@ def test_lint_catches_each_pattern():
 # each private layout name, and the one module that may use it
 PRIVATE_HOMES = {
     "_terms": "poly.py",
-    "_owner": "ncpart.py",
+    "_rel": "ncpart.py",
     "_masks": "ncpart.py",
     "_partition": "trees.py",
     "_KEYS": "poly.py",
@@ -132,7 +132,7 @@ def test_term_lint_catches_each_use():
         "p._terms = {}\n"
         "ok = p.items()\n"
         "q = getattr(p, 'terms')\n"
-        "k = q._owner[x] | q._masks[0]\n"
+        "k = q._rel | q._masks[0]\n"
         "part = a._partition\n"
         "from .poly import _MASKS, variable_key\n"
         "guard = poly._GUARD\n"
@@ -142,16 +142,16 @@ def test_term_lint_catches_each_use():
         "1: _terms",
         "2: _terms",
         "5: _masks",
-        "5: _owner",
+        "5: _rel",
         "6: _partition",
         *key_layout,
     ]
-    assert private_layout_uses(bad, "poly.py") == ["5: _masks", "5: _owner", "6: _partition"]
+    assert private_layout_uses(bad, "poly.py") == ["5: _masks", "5: _rel", "6: _partition"]
     assert private_layout_uses(bad, "ncpart.py") == [
         "1: _terms", "2: _terms", "6: _partition", *key_layout
     ]
     assert private_layout_uses(bad, "trees.py") == [
-        "1: _terms", "2: _terms", "5: _masks", "5: _owner", *key_layout
+        "1: _terms", "2: _terms", "5: _masks", "5: _rel", *key_layout
     ]
 
 

@@ -467,6 +467,60 @@ def test_block_structure_matches_definitions(p, q, ground, data):
                 leq(a, b)
 
 
+def random_nc(rng, ground):
+    """A noncrossing partition of the sorted list ``ground``: the block of its
+    first element takes a random subset of the rest, and each run between two
+    of its members, or after the last, is partitioned on its own."""
+    if not ground:
+        return []
+    joined = [i for i in range(1, len(ground)) if rng.random() < 0.3]
+    out = [[ground[0]] + [ground[i] for i in joined]]
+    for lo, hi in zip([0, *joined], [*joined, len(ground)]):
+        out += random_nc(rng, ground[lo + 1 : hi])
+    return out
+
+
+def random_coarsening(rng, p, tries):
+    """p with up to ``tries`` random pairs of its blocks merged, each merge kept
+    when it stays noncrossing."""
+    blocks = [list(b) for b in p.blocks]
+    for _ in range(min(tries, len(blocks) - 1)):  # one merge at most per try: two blocks left
+        i, j = sorted(rng.sample(range(len(blocks)), 2))
+        trial = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :] + [blocks[i] + blocks[j]]
+        if is_noncrossing(trial):
+            blocks = trial
+    return NoncrossingPartition(blocks, p.ground)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 12), st.randoms(use_true_random=False), st.booleans())
+def test_block_structure_matches_definitions_past_seven(n, rng, gapped):
+    # the block relation spans n*n bits: several 30-bit digits of an int at these sizes
+    start = rng.randrange(-3, 4)
+    ground = sorted(rng.sample(range(-30, 60), n)) if gapped else list(range(start, start + n))
+    p, q = (NoncrossingPartition(random_nc(rng, ground), ground) for _ in range(2))
+    up, one = random_coarsening(rng, p, n), random_coarsening(rng, p, 1)
+    assert leq(p, up) and leq(p, one)
+    # one merge apart: p's relation differs from one's only in the rows of the merged blocks
+    for a, b in [(p, q), (q, p), (p, up), (up, p), (one, p), (q, up), (one, up), (up, up)]:
+        assert leq(a, b) == leq_by_containment(a, b), (a.blocks, b.blocks)
+        assert zeta_arc_form(a, b) == zeta(a, b), (a.blocks, b.blocks)
+    cut = rng.sample(p.blocks, rng.randrange(1, p.block_count + 1))
+    sub = restrict(p, [x for b in cut for x in b])
+    assert sub.blocks == tuple(sorted(cut))
+    for b in p.blocks:
+        if len(b) > 1:
+            with pytest.raises(NotBlockUnion):
+                restrict(p, [x for x in ground if x != b[-1]])
+    for a in (p, q, up, one, sub):
+        for x in a.ground:
+            assert a.block_of(x) == block_by_scan(a, x)
+        with pytest.raises(KeyError):
+            a.block_of(a.ground[-1] + 1)
+        assert weight(a) == weight_by_positions(a)
+        assert smallest_interval_above(a) == interval_closure_by_walk(a)
+
+
 def test_zeta_c_support():
     for a in enumerate_nc(5):
         for b in enumerate_nc(5):

@@ -125,7 +125,10 @@ class NoncrossingPartition(_Value):
         return self.ground, self.blocks
 
     def __repr__(self) -> str:
-        return f"NoncrossingPartition({self.render()})"
+        try:
+            return f"NoncrossingPartition({self.render()})"
+        except ValueError:  # an element render() cannot spell
+            return f"NoncrossingPartition({self.blocks}, ground={self.ground})"
 
     def render(self) -> str:
         def digit(x: int) -> str:
@@ -200,6 +203,7 @@ def enumerate_nc(n: int) -> tuple:
 
 def enumerate_set_partitions(n: int) -> Iterator[list]:
     """All set partitions of 1..n (reference oracle; Bell many)."""
+    _require_size(n, 0)
     if n == 0:
         yield []
         return

@@ -1,25 +1,24 @@
 """Plane trees with no unary vertices, and their noncrossing arrangement counterpart.
 
 Trees are nested tuples: a leaf is the empty tuple, an internal vertex is the
-tuple of its children (always at least two).  A tree with n+1 leaves is
-"prime" when the root's last child is a leaf.  Prime trees with n+1 leaves
-map bijectively onto arrangements: noncrossing forests of binary trees whose
-leaves sit on the dots 1..n.  The forward map prunes middle children into
-separate components; the inverse re-attaches, as the middle children of each
-vertex, the components lying directly inside its gap, found by one walk from
-left to right: the first starts just after the gap's low dot, each next one
-just after the previous one ends.
-
-Leaf counts follow the little Schroder numbers, prime counts the large ones.
+tuple of its children (at least two).  A tree with n+1 leaves is "prime" when
+the root's last child is a leaf; prime trees with n+1 leaves map bijectively
+onto arrangements, noncrossing forests of binary trees with leaves on the dots
+1..n.  The forward map prunes middle children into separate components; the
+inverse re-attaches the components directly inside each vertex's gap as its
+middle children: the first starts just after the gap's low dot, each next one
+just after the previous one ends.  Each map (eta, weight_tree, phi,
+cover_counts) reads its input in one walk.  Leaf counts follow the little
+Schroder numbers, prime counts the large ones.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from itertools import product
+from itertools import count, product
 from typing import Iterable, Sequence
 
-from .ncpart import NoncrossingPartition, NotAPartition, _bits, _delta_key, enumerate_nc
+from .ncpart import NoncrossingPartition, NotAPartition, _delta_key, enumerate_nc
 from .poly import Polynomial, _require_size, _shown, _Value
 
 
@@ -129,29 +128,6 @@ def enumerate_binary(m: int) -> tuple:
 
 # -- the partition of a prime tree ------------------------------------------
 
-def _summary(node: Tree) -> tuple:
-    """(leaves, blocks, d key of every vertex, d key off the leftmost branch).
-
-    The blocks are those ``eta`` reads off the subtree, as masks over its
-    leaves (bit i for leaf i + 1) in canonical order, so a child's blocks move
-    past its left siblings' leaves by one shift each.
-    """
-    if not node:
-        return 1, (), 0, 0
-    kids = [_summary(c) for c in node]
-    offset, first, every, left = kids[0]
-    own, rest, shifted = 0, 0, []
-    for leaves, inner, key, _ in kids[1:]:
-        own |= 1 << (offset - 1)  # the last leaf of the child before
-        shifted += [m << offset for m in inner]
-        rest += key
-        offset += leaves
-    every += _delta_key(len(node) - 1) + rest
-    # the vertex's own block sorts after its first child's blocks and
-    # before the others, whose elements all exceed that child's leaves
-    return offset, (*first, own, *shifted), every, left + rest
-
-
 @_bounded
 def eta(t: Tree) -> NoncrossingPartition:
     """Noncrossing partition read off a prime tree with n+1 leaves.
@@ -163,15 +139,33 @@ def eta(t: Tree) -> NoncrossingPartition:
     """
     if not is_prime(t):
         raise NotPrime("the partition map needs a prime tree")
-    leaves, blocks, _, _ = _summary(t)
-    return NoncrossingPartition._trusted([tuple(_bits(m << 1)) for m in blocks], range(1, leaves))
+    blocks, leaf = [], count(1).__next__
+
+    def last_leaf(node: Tree) -> int:
+        # numbers the leaves under node left to right, adding each vertex's block
+        if not node:
+            return leaf()
+        *own, last = map(last_leaf, node)
+        blocks.append(tuple(own))
+        return last
+
+    leaves = last_leaf(t)
+    return NoncrossingPartition._trusted(sorted(blocks), range(1, leaves))
 
 
 @_bounded
 def weight_tree(t: Tree) -> Polynomial:
     """Product of d_{deg(v)-1} over internal vertices off the leftmost branch;
     ValueError on a tree nested past the recursion limit."""
-    return Polynomial._raw({_summary(t)[3]: 1})
+    def key(node: Tree, spine: bool = False) -> int:
+        # the vertices under node, those on the leftmost branch left out when node is on
+        # it; that branch is recursed too, so a tree too deep for the walk still raises
+        if not node:
+            return 0
+        own = 0 if spine else _delta_key(len(node) - 1)
+        return own + key(node[0], spine) + sum(map(key, node[1:]))
+
+    return Polynomial._raw({key(t, True): 1})
 
 
 # -- arrangements ------------------------------------------------------------
@@ -246,27 +240,6 @@ def partition_of(a: Arrangement) -> NoncrossingPartition:
     return a._partition
 
 
-def _component_vertices(pos: tuple, shape: Tree) -> list[tuple]:
-    """All internal vertices as (span_min, span_max, gap_lo, gap_hi) tuples."""
-    out = []
-
-    def walk(node: Tree, offset: int) -> int:
-        # returns the leaf count of the subtree
-        if not node:
-            return 1
-        lcnt = walk(node[0], offset)
-        rcnt = walk(node[1], offset + lcnt)
-        span_min = pos[offset]
-        span_max = pos[offset + lcnt + rcnt - 1]
-        gap_lo = pos[offset + lcnt - 1]   # rightmost leaf of the left subtree
-        gap_hi = pos[offset + lcnt]       # leftmost leaf of the right subtree
-        out.append((span_min, span_max, gap_lo, gap_hi))
-        return lcnt + rcnt
-
-    walk(shape, 0)
-    return out
-
-
 def _inside(a: Arrangement):
     """A function listing the components lying directly inside two dots lo < hi.
 
@@ -287,12 +260,20 @@ def _inside(a: Arrangement):
 
 def cover_counts(a: Arrangement) -> dict:
     """Map from internal vertex span (min dot, max dot) to covered-component count."""
-    inside = _inside(a)
-    return {
-        (span_min, span_max): len(inside(gap_lo, gap_hi))
-        for pos, shape in a.components
-        for span_min, span_max, gap_lo, gap_hi in _component_vertices(pos, shape)
-    }
+    inside, counts = _inside(a), {}
+
+    def walk(pos: tuple, node: Tree, start: int) -> int:
+        # node's leaves sit on pos[start:end]; counts each vertex's gap, returns end
+        if not node:
+            return start + 1
+        mid = walk(pos, node[0], start)
+        end = walk(pos, node[1], mid)
+        counts[pos[start], pos[end - 1]] = len(inside(pos[mid - 1], pos[mid]))
+        return end
+
+    for pos, shape in a.components:
+        walk(pos, shape, 0)
+    return counts
 
 
 def weight_arrangement(a: Arrangement) -> Polynomial:

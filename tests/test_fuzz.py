@@ -27,6 +27,7 @@ from nckit.ncpart import (
     coarsest,
     enumerate_interval,
     enumerate_nc,
+    enumerate_set_partitions,
     finest,
 )
 from nckit.poly import (
@@ -230,12 +231,19 @@ def test_tree_walks_keep_the_depth_n_leaves_accepts():
     assert internal_count(comb) == 401
     assert is_binary(comb)
     assert tree_from_json(tree_to_json(comb)) == comb
+    # the prime trees on the comb and on its mirror, a right comb: the depth lies on
+    # the leftmost branch, which weight_tree leaves out, or off it
+    mirror = reduce(lambda x, _: ((), x), range(400), ((), ()))
+    for t, weight in [((comb, ()), 1), ((mirror, ()), Polynomial({((delta(1), 400),): 1}))]:
+        assert eta(t) == finest(402)  # each vertex's block is the last leaf of its first child
+        assert weight_tree(t) == weight
 
 
 # each builder that takes a size, and the least size it accepts
 SIZED = {
     "enumerate_nc": (enumerate_nc, 0),
     "enumerate_interval": (enumerate_interval, 0),
+    "enumerate_set_partitions": (lambda n: list(enumerate_set_partitions(n)), 0),
     "enumerate_arrangements": (enumerate_arrangements, 0),
     "finest": (finest, 0),
     "coarsest": (coarsest, 0),

@@ -521,6 +521,30 @@ def test_block_structure_matches_definitions_past_seven(n, rng, gapped):
         assert smallest_interval_above(a) == interval_closure_by_walk(a)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.randoms(use_true_random=False))
+def test_repr_spells_every_ground(n, rng):
+    # render() spells the elements 1..35; on any other ground the repr shows the
+    # blocks and the ground, as a constructor call that rebuilds the partition
+    for span in (range(1, 36), range(-30, 61), range(1, 41)):
+        ground = sorted(rng.sample(span, n))
+        p = NoncrossingPartition(random_nc(rng, ground), ground)
+        if ground[0] >= 1 and ground[-1] <= 35:
+            assert repr(p) == f"NoncrossingPartition({p.render()})"
+        else:
+            assert repr(p) == f"NoncrossingPartition({p.blocks}, ground={p.ground})"
+            assert eval(repr(p), {"NoncrossingPartition": NoncrossingPartition}) == p
+
+
+def test_repr_examples():
+    assert repr(NC("146|23|5")) == "NoncrossingPartition(146|23|5)"
+    assert repr(NC("Z")) == "NoncrossingPartition(Z)"
+    assert repr(NoncrossingPartition([[-3, 0], [5]])) == (
+        "NoncrossingPartition(((-3, 0), (5,)), ground=(-3, 0, 5))"
+    )
+    assert repr(NoncrossingPartition([[36]])) == "NoncrossingPartition(((36,),), ground=(36,))"
+
+
 def test_zeta_c_support():
     for a in enumerate_nc(5):
         for b in enumerate_nc(5):

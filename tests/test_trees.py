@@ -607,7 +607,15 @@ prime_trees = (
 @settings(max_examples=200, deadline=None)
 @given(prime_trees)
 def test_random_prime_tree_round_trips(t):
+    # past the exhaustive sweeps: each map against its oracle, and the complement and
+    # weight identities that carry eta and weight_tree over to the arrangement
     assert tree_from_json(tree_to_json(t)) == t
     p = eta(t)
     assert NoncrossingPartition.parse(p.render()) == p
-    assert phi_inv(phi(t)) == t
+    a = phi(t)
+    assert phi_inv(a) == t
+    assert p.blocks == eta_by_walk(t)
+    assert weight_tree(t) == weight_tree_by_walk(t)
+    assert kreweras(partition_of(a)) == p
+    assert weight_arrangement(a) == weight_tree(t)
+    assert cover_counts(a) == cover_counts_from_tree(t)

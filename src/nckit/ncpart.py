@@ -342,20 +342,21 @@ def kreweras_inv(p: NoncrossingPartition) -> NoncrossingPartition:
 
 # -- interval closure --------------------------------------------------------
 
-def smallest_interval_above(p: NoncrossingPartition) -> NoncrossingPartition:
-    """The minimal interval partition coarser than p.
+def _interval_ends(p: NoncrossingPartition, start: int, stop: int) -> Iterator[int]:
+    """Chain walk over the positions start..stop-1, a union of blocks of p: each
+    interval of the smallest interval partition above p runs from the current
+    position to the max of the block containing it; no other block can straddle
+    that boundary without crossing.  Yields the position past each interval."""
+    n = p.size
+    while start < stop:
+        start = (p._rel >> start * n & (1 << n) - 1).bit_length()  # past the block at start
+        yield start
 
-    Chain walk: each interval runs from the current position to the max of the
-    block containing it; no other block can straddle that boundary without
-    crossing, so the walk is well defined.
-    """
-    ground, n = p.ground, p.size
-    out, start = [], 0
-    while start < n:
-        stop = (p._rel >> start * n & (1 << n) - 1).bit_length()  # past the block at start
-        out.append(ground[start:stop])
-        start = stop
-    return NoncrossingPartition._trusted(out, ground)
+
+def smallest_interval_above(p: NoncrossingPartition) -> NoncrossingPartition:
+    """The minimal interval partition coarser than p."""
+    ends = [0, *_interval_ends(p, 0, p.size)]
+    return NoncrossingPartition._trusted([p.ground[i:j] for i, j in zip(ends, ends[1:])], p.ground)
 
 
 def iota(p: NoncrossingPartition) -> int:
@@ -422,12 +423,12 @@ def zeta_c_closed(a: NoncrossingPartition, b: NoncrossingPartition) -> Polynomia
     For a <= b: product over blocks B of b that avoid the minimum of the
     ground and whose min and max are separated in a, of d_{iota(a | hull(B)) - 1}.
     """
-    _require_standard_ground(a)  # leq raises GroundMismatch unless b shares it
+    n = _require_standard_ground(a)  # leq raises GroundMismatch unless b shares it
     if not leq(a, b):
         return Polynomial.zero()
-    key = sum(
-        _delta_key(iota(restrict(a, range(block[0], block[-1] + 1))) - 1)
+    key = sum(  # as a <= b, the hull of a block of b is a union of blocks of a
+        _delta_key(len([*_interval_ends(a, block[0] - 1, block[-1])]) - 1)
         for block in b.blocks
-        if 1 not in block and block[-1] not in a.block_of(block[0])
+        if block[0] > 1 and not a._rel >> (block[0] - 1) * n + block[-1] - 1 & 1
     )
     return Polynomial._raw({key: 1})

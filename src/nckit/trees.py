@@ -7,16 +7,17 @@ onto arrangements, noncrossing forests of binary trees with leaves on the dots
 1..n.  The forward map prunes middle children into separate components; the
 inverse re-attaches the components directly inside each vertex's gap as its
 middle children: the first starts just after the gap's low dot, each next one
-just after the previous one ends.  Each map (eta, weight_tree, phi,
-cover_counts) reads its input in one walk.  Leaf counts follow the little
-Schroder numbers, prime counts the large ones.
+just after the previous one ends.  Leaf counts follow the little Schroder
+numbers, prime counts the large ones.  Each map reads its input in one walk: a
+module-level recursion taking its state as arguments, since a nested function
+calling itself is a reference cycle that leaves each call to the cycle collector.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from itertools import count, product
-from typing import Iterable, Sequence
+from itertools import count, product, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .ncpart import NoncrossingPartition, NotAPartition, _delta_key, enumerate_nc
 from .poly import Polynomial, _require_size, _shown, _Value
@@ -139,33 +140,37 @@ def eta(t: Tree) -> NoncrossingPartition:
     """
     if not is_prime(t):
         raise NotPrime("the partition map needs a prime tree")
-    blocks, leaf = [], count(1).__next__
-
-    def last_leaf(node: Tree) -> int:
-        # numbers the leaves under node left to right, adding each vertex's block
-        if not node:
-            return leaf()
-        *own, last = map(last_leaf, node)
-        blocks.append(tuple(own))
-        return last
-
-    leaves = last_leaf(t)
+    blocks: list[tuple] = []
+    leaves = _last_leaf(t, 0, blocks)
     return NoncrossingPartition._trusted(sorted(blocks), range(1, leaves))
+
+
+def _last_leaf(node: Tree, before: int, blocks: list) -> int:
+    # the last leaf under node, numbering leaves after `before`; adds each vertex's block
+    if not node:
+        return before + 1
+    own = []
+    for child in node:
+        before = _last_leaf(child, before, blocks)
+        own.append(before)
+    blocks.append(tuple(own[:-1]))
+    return before
 
 
 @_bounded
 def weight_tree(t: Tree) -> Polynomial:
     """Product of d_{deg(v)-1} over internal vertices off the leftmost branch;
     ValueError on a tree nested past the recursion limit."""
-    def key(node: Tree, spine: bool = False) -> int:
-        # the vertices under node, those on the leftmost branch left out when node is on
-        # it; that branch is recursed too, so a tree too deep for the walk still raises
-        if not node:
-            return 0
-        own = 0 if spine else _delta_key(len(node) - 1)
-        return own + key(node[0], spine) + sum(map(key, node[1:]))
+    return Polynomial._raw({_weight_key(t, True): 1})
 
-    return Polynomial._raw({key(t, True): 1})
+
+def _weight_key(node: Tree, spine: bool = False) -> int:
+    # the vertices under node, those on the leftmost branch left out when node is on
+    # it; that branch is recursed too, so a tree too deep for the walk still raises
+    if not node:
+        return 0
+    own = 0 if spine else _delta_key(len(node) - 1)
+    return own + _weight_key(node[0], spine) + sum(map(_weight_key, node[1:]))
 
 
 # -- arrangements ------------------------------------------------------------
@@ -240,40 +245,35 @@ def partition_of(a: Arrangement) -> NoncrossingPartition:
     return a._partition
 
 
-def _inside(a: Arrangement):
-    """A function listing the components lying directly inside two dots lo < hi.
+def _inside(starts: dict, lo: int, hi: int) -> Iterator[tuple]:
+    """The components lying directly inside two dots lo < hi, left to right;
+    ``starts`` maps each component's first dot to the component.
 
     By noncrossing, the first starts at dot lo + 1 and each next one right
     after the previous one ends; any deeper component sits inside one of them.
     """
-    starts = {pos[0]: ci for ci, (pos, _) in enumerate(a.components)}
-
-    def inside(lo: int, hi: int) -> list[int]:
-        out = []
-        while lo + 1 < hi:
-            out.append(starts[lo + 1])
-            lo = a.components[out[-1]][0][-1]
-        return out
-
-    return inside
+    while lo + 1 < hi:
+        comp = starts[lo + 1]
+        yield comp
+        lo = comp[0][-1]
 
 
 def cover_counts(a: Arrangement) -> dict:
     """Map from internal vertex span (min dot, max dot) to covered-component count."""
-    inside, counts = _inside(a), {}
-
-    def walk(pos: tuple, node: Tree, start: int) -> int:
-        # node's leaves sit on pos[start:end]; counts each vertex's gap, returns end
-        if not node:
-            return start + 1
-        mid = walk(pos, node[0], start)
-        end = walk(pos, node[1], mid)
-        counts[pos[start], pos[end - 1]] = len(inside(pos[mid - 1], pos[mid]))
-        return end
-
+    starts, counts = {comp[0][0]: comp for comp in a.components}, {}
     for pos, shape in a.components:
-        walk(pos, shape, 0)
+        _count_covers(pos, shape, 0, starts, counts)
     return counts
+
+
+def _count_covers(pos: tuple, node: Tree, start: int, starts: dict, counts: dict) -> int:
+    # node's leaves sit on pos[start:end]; counts each vertex's gap, returns end
+    if not node:
+        return start + 1
+    mid = _count_covers(pos, node[0], start, starts, counts)
+    end = _count_covers(pos, node[1], mid, starts, counts)
+    counts[pos[start], pos[end - 1]] = sum(map(bool, _inside(starts, pos[mid - 1], pos[mid])))
+    return end
 
 
 def weight_arrangement(a: Arrangement) -> Polynomial:
@@ -296,44 +296,43 @@ def phi(t: Tree) -> Arrangement:
     if not is_prime(t):
         raise NotPrime("only prime trees have an arrangement form")
     components: list[tuple] = []
-    counter = [0]
-
-    def walk(node: Tree) -> tuple:
-        # returns (positions, binary shape) of the pruned copy of `node`
-        if not node:
-            counter[0] += 1
-            return ((counter[0],), LEAF)
-        kids = [walk(c) for c in node]
-        components.extend(kids[1:-1])
-        (lp, ls), (rp, rs) = kids[0], kids[-1]
-        return (lp + rp, (ls, rs))
-
+    leaf = count(1).__next__
     for child in t[:-1]:
-        components.append(walk(child))
+        components.append(_pruned(child, leaf, components))
     return Arrangement._trusted(components)
+
+
+def _pruned(node: Tree, leaf, components: list) -> tuple:
+    # (positions, binary shape) of the pruned copy of node, its leaves numbered by
+    # calling leaf(); its middle subtrees go to components
+    if not node:
+        return (leaf(),), LEAF
+    (lp, ls), *mids, (rp, rs) = map(_pruned, node, repeat(leaf), repeat(components))
+    components += mids
+    return lp + rp, (ls, rs)
 
 
 def phi_inv(a: Arrangement) -> Tree:
     """Rebuild the prime tree: re-insert the components directly inside each
     vertex gap as that vertex's middle children; the components directly
     inside dots 0 and n+1 hang off a new root, followed by one final leaf."""
-    inside = _inside(a)
+    starts = {comp[0][0]: comp for comp in a.components}
+    roots = _inside(starts, 0, a.size + 1)
+    return tuple(_regrown(pos, shape, 0, starts)[0] for pos, shape in roots) + (LEAF,)
 
-    def build(ci: int) -> Tree:
-        pos, shape = a.components[ci]
 
-        def walk(node: Tree, offset: int) -> tuple:
-            if not node:
-                return LEAF, 1
-            left, lcnt = walk(node[0], offset)
-            right, rcnt = walk(node[1], offset + lcnt)
-            mids = [build(cj) for cj in inside(pos[offset + lcnt - 1], pos[offset + lcnt])]
-            return (left, *mids, right), lcnt + rcnt
-
-        built, _ = walk(shape, 0)
-        return built
-
-    return tuple(build(ci) for ci in inside(0, a.size + 1)) + (LEAF,)
+def _regrown(pos: tuple, node: Tree, start: int, starts: dict) -> tuple:
+    # (subtree, end): node's leaves sit on pos[start:end], and the components
+    # inside each vertex's gap come back as its middle children
+    if not node:
+        return LEAF, start + 1
+    left, mid = _regrown(pos, node[0], start, starts)
+    right, end = _regrown(pos, node[1], mid, starts)
+    kids = [left]
+    for inner, shape in _inside(starts, pos[mid - 1], pos[mid]):
+        kids.append(_regrown(inner, shape, 0, starts)[0])
+    kids.append(right)
+    return tuple(kids), end
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -29,6 +29,12 @@ Cache-placement lint: every ``lru_cache`` or ``cache`` (by that name or
 attribute) decorates a module-level ``def``.  ``clear_caches`` and the
 benchmark's cold-cache guard find caches by module namespace, so a cached
 nested function, lambda or method would stay warm and unseen.
+
+Recursive-closure lint: no ``def`` directly inside a function reads its own
+name.  Such a function reaches itself through a closure cell, a reference cycle
+that every call of the enclosing function leaves for the cycle collector; a
+walk recurses through a module-level function and takes its state as
+arguments.  A method reads its own name from the module, so it is not counted.
 """
 
 import ast
@@ -429,4 +435,61 @@ def test_route_lint_catches_each_crossing():
         "4: mu_column_via_trees: leq",
         "6: _root_sum: kreweras",
         "8: _mu_top_column: _root_sum",
+    ]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def recursive_closures(source: str) -> list[str]:
+    """One "line: where" string per ``def`` directly inside a function that reads
+    its own name, itself or through a function nested in it."""
+    found = []
+
+    def visit(node, path: tuple, nested: bool) -> None:
+        if isinstance(node, FUNCTIONS) and nested and any(
+            isinstance(n, ast.Name) and n.id == node.name and isinstance(n.ctx, ast.Load)
+            for statement in node.body
+            for n in ast.walk(statement)
+        ):
+            found.append(f"{node.lineno}: {'.'.join(path + (node.name,))}")
+        if isinstance(node, DEFINITIONS):  # a class body binds names out of its methods' reach
+            path, nested = path + (node.name,), isinstance(node, FUNCTIONS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, nested)
+
+    visit(ast.parse(source), (), False)
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_nested_function_calls_itself(path):
+    assert recursive_closures(path.read_text(encoding="utf-8")) == []
+
+
+def test_recursive_closure_lint_catches_each_form():
+    planted = (
+        "def outer(t):\n"
+        "    def walk(node):\n"
+        "        return sum(map(walk, node))\n"
+        "    def leaf(node):\n"
+        "        return node\n"
+        "    return walk(leaf(t))\n"
+        "def top(n):\n"
+        "    return top(n - 1) if n else 0\n"
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return size(self)\n"
+        "def build(a):\n"
+        "    def inner(ci):\n"
+        "        def walk(x):\n"
+        "            return [walk(c) for c in x] + [inner(0)]\n"
+        "        return walk(ci)\n"
+        "    class Local:\n"
+        "        def again(self):\n"
+        "            return again\n"
+        "    return inner(a)\n"
+    )
+    assert recursive_closures(planted) == [
+        "2: outer.walk", "13: build.inner", "14: build.inner.walk",
     ]

@@ -1,6 +1,7 @@
 """Tests for plane trees, their partition map, and noncrossing arrangements."""
 
 import copy
+import gc
 import pickle
 from fractions import Fraction
 from functools import reduce
@@ -122,6 +123,43 @@ def test_arrangement_rejects_shapes_nested_past_the_recursion_limit():
     with pytest.raises(InvalidArrangement, match="nested past the recursion limit"):
         Arrangement([(tuple(range(1, 5003)), left_comb(5000)[0])])
     assert Arrangement([(tuple(range(1, 53)), left_comb(50)[0])]).size == 52
+
+
+def test_the_maps_walk_a_tree_900_deep():
+    # one frame per tree level: the prime tree on a left comb and its arrangement,
+    # a single component, the comb itself
+    comb = left_comb(900)[0]
+    t, a = (comb, LEAF), Arrangement._trusted([(tuple(range(1, 903)), comb)])
+    assert phi(t) == a and phi_inv(a) == t
+    assert eta(t) == NoncrossingPartition([(i,) for i in range(1, 903)])
+    assert weight_tree(t) == weight_arrangement(a) == Polynomial.one()
+    assert set(cover_counts(a).values()) == {0}
+
+
+def test_the_walks_leave_no_reference_cycles():
+    # a nested function that calls itself reaches itself through its closure cell:
+    # each call would leave a reference cycle that only the cycle collector frees
+    trees = [t for n in range(1, 7) for t in enumerate_prime(n)]
+    pairs = [
+        (a, rho)
+        for rho in enumerate_nc(5)
+        if rho.block_count > 1
+        for a in enumerate_arrangements(5)
+        if leq(partition_of(a), kreweras_inv(rho))
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for t in trees:
+            a = phi(t)
+            for walk, arg in [(phi_inv, a), (eta, t), (weight_tree, t), (cover_counts, a),
+                              (weight_arrangement, a), (n_leaves, t)]:
+                walk(arg)
+        for a, rho in pairs:
+            psi(psi(a, rho), rho)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("zero", [False, 0.0, Fraction(0)])

@@ -361,7 +361,7 @@ def smallest_interval_above(p: NoncrossingPartition) -> NoncrossingPartition:
 
 def iota(p: NoncrossingPartition) -> int:
     """Number of blocks of the smallest interval partition above p."""
-    return smallest_interval_above(p).block_count
+    return len([*_interval_ends(p, 0, p.size)])
 
 
 def is_interval(p: NoncrossingPartition) -> bool:

@@ -45,6 +45,8 @@ followed by the d, M and C texts.
 `_Value` is the base of the other immutable values: write-once slots, a trusted
 constructor and equality by key.  `Polynomial` stays off it: `_raw`, the hottest
 constructor, writes `_terms` directly, and ``==`` also compares with scalars.
+No code writes to a `_terms` dict once `_raw` has taken it (a lint in the tests
+checks), so `zero()` returns one shared empty value, `_ZERO`.
 """
 
 from __future__ import annotations
@@ -244,7 +246,8 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls._raw({})
+        """The one shared zero, `_ZERO`: no code writes to a `_terms` dict in place."""
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -438,6 +441,9 @@ class Polynomial:
 
     def __reduce__(self):  # pickle tuples: keys depend on this process's slots
         return Polynomial, (dict(self.items()),)
+
+
+_ZERO = Polynomial._raw({})
 
 
 def as_fraction(x) -> Fraction:

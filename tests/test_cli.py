@@ -18,7 +18,9 @@ import pytest
 from nckit import cli
 from nckit import cumulants as cm
 from nckit.cli import main
+from nckit.ncpart import kreweras_inv, leq
 from nckit.poly import Polynomial, delta, moment
+from nckit.trees import enumerate_arrangements, partition_of
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
 
@@ -591,6 +593,49 @@ def test_verify_fault_injection_names_triple_agreement(capsys, wrong_trees_route
     rc, out, _ = run_cli(capsys, "verify", "--max-n", "4")
     assert rc == 1
     assert out.splitlines()[-1] == "FAIL triple agreement: mobius vs trees at n=2"
+
+
+def with_fixed_point(psi):
+    """A simulated pairing bug: every arrangement is its own image at rho 13|2."""
+    return lambda a, rho: a if rho.render() == "13|2" else psi(a, rho)
+
+
+def with_a_cycle(psi):
+    """A simulated pairing bug at rho 1|24|3: each arrangement of the domain goes
+    to the next one, so the map has no fixed point but is not an involution."""
+    def cycled(a, rho):
+        if rho.render() != "1|24|3":
+            return psi(a, rho)
+        dual = kreweras_inv(rho)
+        domain = [b for b in enumerate_arrangements(rho.size) if leq(partition_of(b), dual)]
+        return domain[(domain.index(a) + 1) % len(domain)]
+    return cycled
+
+
+@pytest.mark.parametrize(
+    "fault, rho", [(with_fixed_point, "13|2"), (with_a_cycle, "1|24|3")]
+)
+def test_verify_fault_injection_names_the_unpaired_rho(capsys, monkeypatch, fault, rho):
+    monkeypatch.setattr(cm, "psi", fault(cm.psi))
+    rc, out, _ = run_cli(capsys, "verify", "--max-n", "5")
+    assert rc == 1
+    assert out.splitlines()[-1] == f"FAIL cancellation: pairing fails at {rho}"
+
+
+def test_cancellation_calls_psi_once_per_arrangement(capsys, monkeypatch):
+    # 460 pairs below the duals of the 59 rho with n <= 5 that are not the top:
+    # one psi call each, read again at the other end of its pair
+    calls, psi = [], cm.psi
+
+    def counted(a, rho):
+        calls.append(a)
+        return psi(a, rho)
+
+    monkeypatch.setattr(cm, "psi", counted)
+    rc, out, _ = run_cli(capsys, "verify", "--max-n", "5")
+    assert rc == 0
+    assert "ok cancellation: 524 cases\n" in out
+    assert len(calls) == 460
 
 
 def test_table_all_fault_injection_exits_3(capsys, wrong_trees_route):

@@ -576,9 +576,10 @@ def test_column_entries_are_read_off_the_top_column(mobius_columns):
 
 def test_appending_to_the_last_block_keeps_the_column_value(mobius_columns):
     # iota(p) joins k+1..n to the block of k: the interval [iota(p), 1_n] is
-    # [p, 1_k] with the same zeta weights, so the column value is unchanged
-    for column in (mobius_columns, _tree_column):
-        for n in range(2, 9):
+    # [p, 1_k] with the same zeta weights, so the column value is unchanged;
+    # the trees column reaches n = 10
+    for column, top_n in ((mobius_columns, 8), (_tree_column, 10)):
+        for n in range(2, top_n + 1):
             top = dict(column(n))
             for k in range(1, n):
                 tail, values = tuple(range(k + 1, n + 1)), dict(column(k))
@@ -590,8 +591,8 @@ def test_appending_to_the_last_block_keeps_the_column_value(mobius_columns):
 def test_dropping_a_leading_singleton_pair_keeps_the_column_value(mobius_columns):
     # the left-hand twin of the test above: if 1 ~ 2 in p, removing 1 and
     # shifting the ground down keeps the column value
-    for column in (mobius_columns, _tree_column):
-        for n in range(2, 10):
+    for column, top_n in ((mobius_columns, 9), (_tree_column, 10)):
+        for n in range(2, top_n + 1):
             values, twins = dict(column(n - 1)), 0
             for p, value in column(n):
                 if p.block_of(1)[1:2] == (2,):

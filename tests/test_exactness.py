@@ -14,7 +14,13 @@ in ``ncpart.py``, and ``_partition`` (the kept partition of an
 masks) in ``poly.py``.  Elsewhere such a name may be neither read nor written
 as an attribute, nor imported with ``from ... import``.
 
-A third lint keeps the caller's input out of ``repr`` in error messages: no
+A third lint keeps every ``_terms`` dict write-once: no module writes to one in
+place (a subscript store or ``del``, an augmented assignment, or ``update``,
+``pop``, ``popitem``, ``clear`` or ``setdefault`` called on it), because
+``Polynomial.zero()`` hands out one shared empty value, and a write to it would
+change every zero in the process.
+
+A fourth lint keeps the caller's input out of ``repr`` in error messages: no
 f-string ``!r`` conversion inside a ``raise``, which would escape as a bare
 ``RecursionError`` on input nested past the recursion limit.  Messages echo
 input through ``poly._shown`` instead.
@@ -153,6 +159,53 @@ def test_term_lint_catches_each_use():
     assert private_layout_uses(bad, "trees.py") == [
         "1: _terms", "2: _terms", "5: _masks", "5: _rel", *key_layout
     ]
+
+
+DICT_WRITES = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def _is_terms(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_terms"
+
+
+def _writes_terms(node) -> bool:
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return _is_terms(node.value)
+    if isinstance(node, ast.AugAssign):
+        return _is_terms(node.target)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in DICT_WRITES and _is_terms(node.func.value)
+    return False
+
+
+def terms_writes(source: str) -> list[int]:
+    """The line of each in-place write to a ``_terms`` dict."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if _writes_terms(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_terms_dicts_are_never_written_in_place(path):
+    assert terms_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_terms_write_lint_catches_each_pattern():
+    bad = (
+        "p._terms[key] = 1\n"
+        "del p._terms[key]\n"
+        "p._terms[key] += c\n"
+        "p._terms |= other\n"
+        "p._terms.update(other)\n"
+        "p._terms.pop(key)\n"
+        "self._terms.popitem()\n"
+        "q._terms.clear()\n"
+        "q._terms.setdefault(key, 0)\n"
+        "p._terms = {}\n"
+        "out[key] = p._terms[key]\n"
+        "c = p._terms.get(key, 0)\n"
+        "pairs = p._terms.items()\n"
+        "out.update(p._terms)\n"
+    )
+    assert terms_writes(bad) == [1, 2, 3, 4, 5, 6, 7, 8, 9]
 
 
 def repr_echoes_in_raises(source: str) -> list[int]:

@@ -327,6 +327,29 @@ def test_smallest_interval_above_general_ground():
     assert iota(p) == 4
 
 
+def test_iota_counts_the_smallest_interval_partition():
+    for n in range(9):
+        for p in enumerate_nc(n):
+            assert iota(p) == smallest_interval_above(p).block_count, p
+
+
+def test_iota_counts_the_intervals_on_restricted_grounds():
+    # verify_cover_identity counts the intervals of a partition restricted to a
+    # hull such as 3..7; a single block of p also gives a ground with gaps
+    grounds = 0
+    for n in range(1, 8):
+        for p in enumerate_nc(n):
+            subsets = [range(i, j + 1) for i, j in combinations(range(1, n + 1), 2)]
+            for subset in subsets + list(p.blocks):
+                try:
+                    r = restrict(p, subset)
+                except NotBlockUnion:
+                    continue
+                assert iota(r) == smallest_interval_above(r).block_count, (p, subset)
+                grounds += r.ground[0] > 1
+    assert grounds > 1000
+
+
 def test_smallest_interval_above_is_minimal():
     for p in enumerate_nc(6):
         q = smallest_interval_above(p)
@@ -543,6 +566,14 @@ def test_repr_examples():
         "NoncrossingPartition(((-3, 0), (5,)), ground=(-3, 0, 5))"
     )
     assert repr(NoncrossingPartition([[36]])) == "NoncrossingPartition(((36,),), ground=(36,))"
+
+
+def test_zeta_forms_are_empty_off_the_order():
+    empty = Polynomial({})
+    for a in enumerate_nc(5):
+        for b in enumerate_nc(5):
+            if not leq(a, b):
+                assert zeta(a, b) == zeta_arc_form(a, b) == zeta_c_closed(a, b) == empty
 
 
 def test_zeta_c_support():

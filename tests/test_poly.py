@@ -71,6 +71,19 @@ wide_terms = st.dictionaries(wide_monomials, rationals, max_size=4)
 
 # -- construction and equality ----------------------------------------------
 
+def test_the_shared_zero_stays_empty():
+    # zero() hands out one value, so no operation may write into an operand it takes
+    zero, p = Polynomial.zero(), Polynomial.parse("-2/3*d1*M2 + 1*C1^2")
+    assert zero is Polynomial.zero()
+    taken = [  # each result takes the zero as an operand
+        zero + p, p + zero, zero + 1, zero - p, p - zero, zero * p, p * zero, zero * 3, -zero,
+        zero.substitute({D1: p}), p.substitute({M2: zero}), zero.split_by_family(DELTA),
+        specialize_family(zero, DELTA, 1), specialize_family(zero, DELTA, 0),
+    ]
+    assert zero == Polynomial({}) and not zero and zero.render() == "0"
+    assert taken[0] == p and not taken[5]
+
+
 def test_zero_and_constants():
     assert Polynomial.zero().is_zero
     assert Polynomial.constant(0).is_zero

@@ -111,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="print a symbolic transform table")
     p_table.add_argument("kind", choices=("delta", "free", "boolean"))
-    p_table.add_argument("--direction", choices=("moments", "cumulants"), required=True)
+    p_table.add_argument(
+        "--direction", choices=("moments", "cumulants"), required=True
+    )
     p_table.add_argument("--n", type=_positive_int, required=True)
     p_table.add_argument(
         "--method",
@@ -126,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--moments", help="comma-separated rationals (input)")
     p_conv.add_argument("--cumulants", help="comma-separated rationals (input)")
     p_conv.add_argument("--deltas", required=True, help="comma-separated rationals")
-    p_conv.add_argument("--direction", choices=("moments", "cumulants"), required=True)
+    p_conv.add_argument(
+        "--direction", choices=("moments", "cumulants"), required=True
+    )
     p_conv.set_defaults(handler=_cmd_convert)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
@@ -201,11 +205,18 @@ def _cmd_enumerate(args) -> int:
         ]
         items = [a.to_json_list() for a in family]
     else:
-        family = enumerate_schroder(n) if args.kind == "schroder" else enumerate_prime(n)
+        family = (
+            enumerate_schroder(n) if args.kind == "schroder" else enumerate_prime(n)
+        )
         items = [tree_to_json(t) for t in family]
         lines = [_compact(obj) for obj in items]
     if args.format == "json":
-        payload = {"kind": args.kind, "n": n, "count": len(lines), "items": items}
+        payload = {
+            "kind": args.kind,
+            "n": n,
+            "count": len(lines),
+            "items": items,
+        }
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
@@ -218,6 +229,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_table(args) -> int:
     n = args.n
+    flavor = args.kind
     agreement = {}
     if args.direction == "moments":
         table = cm.moments_from_cumulants(n)
@@ -230,7 +242,7 @@ def _cmd_table(args) -> int:
         table = tables[cm.DEFAULT_METHOD]
     else:
         table = cm.cumulants_from_moments(n, args.method)
-    table = cm.specialize_table(table, args.kind)
+    table = cm.specialize_table(table, flavor)
 
     if args.format == "json":
         payload = table.to_json_dict()
@@ -306,25 +318,20 @@ def _check_counting(max_n: int) -> _Cases:
 
 def _check_zeta_forms(max_n: int) -> _Cases:
     for n in range(1, min(max_n, 5) + 1):
-        forms, duals = f"zeta forms disagree at n={n}", f"dual zeta forms disagree at n={n}"
         for p, q in product(enumerate_nc(n), repeat=2):
-            yield zeta(p, q) == zeta_arc_form(p, q), forms
-            yield zeta_c(p, q) == zeta_c_closed(p, q), duals
+            yield zeta(p, q) == zeta_arc_form(p, q), f"zeta forms disagree at n={n}"
+            yield zeta_c(p, q) == zeta_c_closed(p, q), f"dual zeta forms disagree at n={n}"
 
 
 def _check_structural_maps(max_n: int) -> _Cases:
     for n in range(1, min(max_n, 6) + 1):
-        trip = f"tree/arrangement round trip at n={n}"
-        complement = f"complement identity at n={n}"
-        transport = f"weight transport at n={n}"
-        count = f"arc/block count at n={n}"
         for t in enumerate_prime(n):
             a = phi(t)
-            yield phi_inv(a) == t, trip
-            yield kreweras(partition_of(a)) == eta(t), complement
-            yield weight_arrangement(a) == weight_tree(t), transport
+            yield phi_inv(a) == t, f"tree/arrangement round trip at n={n}"
+            yield kreweras(partition_of(a)) == eta(t), f"complement identity at n={n}"
+            yield weight_arrangement(a) == weight_tree(t), f"weight transport at n={n}"
         for p in enumerate_nc(n):
-            yield len(arcs(p)) + p.block_count == n, count
+            yield len(arcs(p)) + p.block_count == n, f"arc/block count at n={n}"
 
 
 def _check_triple_agreement(max_n: int) -> _Cases:
@@ -368,11 +375,10 @@ def _check_cancellation(max_n: int) -> _Cases:
                 continue
             dual = kreweras_inv(rho)
             failure = f"pairing fails at {rho.render()}"
-            images = {  # psi is pure, so one call per arrangement serves both ends of its pair
-                a: cm.psi(a, rho) for a in enumerate_arrangements(n) if leq(partition_of(a), dual)
-            }
-            for a, b in images.items():  # an image outside the domain is mapped afresh
-                yield b != a and (images[b] if b in images else cm.psi(b, rho)) == a, failure
+            below = (a for a in enumerate_arrangements(n) if leq(partition_of(a), dual))
+            images = {a: cm.psi(a, rho) for a in below}  # psi is pure: images[b] is psi(b)
+            for a, b in images.items():
+                yield b != a and images.get(b) == a, failure
 
 
 def _check_sign_pattern(max_n: int) -> _Cases:

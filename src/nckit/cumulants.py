@@ -475,10 +475,11 @@ def w_rho_via_arrangements(rho: NoncrossingPartition) -> Polynomial:
     """Same accumulation, rewritten as a signed sum over arrangements."""
     n = rho.size
     dual = kreweras_inv(rho)
+    below = ((a, partition_of(a)) for a in enumerate_arrangements(n))
     return poly_sum(
-        (-1) ** (n - len(a.components)) * weight_arrangement(a) * zeta_c(partition_of(a), dual)
-        for a in enumerate_arrangements(n)
-        if leq(partition_of(a), dual)
+        (-1) ** (n - len(a.components)) * weight_arrangement(a) * zeta_c(abar, dual)
+        for a, abar in below
+        if leq(abar, dual)
     )
 
 

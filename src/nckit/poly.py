@@ -45,8 +45,6 @@ followed by the d, M and C texts.
 `_Value` is the base of the other immutable values: write-once slots, a trusted
 constructor and equality by key.  `Polynomial` stays off it: `_raw`, the hottest
 constructor, writes `_terms` directly, and ``==`` also compares with scalars.
-No code writes to a `_terms` dict once `_raw` has taken it (a lint in the tests
-checks), so `zero()` returns one shared empty value, `_ZERO`.
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 DELTA = 0
@@ -246,7 +245,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        """The one shared zero, `_ZERO`: no code writes to a `_terms` dict in place."""
+        """One shared zero, `_ZERO`: its terms are read-only; no code writes a `_terms` dict."""
         return _ZERO
 
     @classmethod
@@ -443,7 +442,7 @@ class Polynomial:
         return Polynomial, (dict(self.items()),)
 
 
-_ZERO = Polynomial._raw({})
+_ZERO = Polynomial._raw(MappingProxyType({}))
 
 
 def as_fraction(x) -> Fraction:

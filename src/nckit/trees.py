@@ -16,7 +16,7 @@ calling itself is a reference cycle that leaves each call to the cycle collector
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from itertools import count, product
+from itertools import count, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .ncpart import NoncrossingPartition, NotAPartition, _delta_key, enumerate_nc
@@ -307,10 +307,7 @@ def _pruned(node: Tree, leaf, components: list) -> tuple:
     # calling leaf(); its middle subtrees go to components
     if not node:
         return (leaf(),), LEAF
-    pruned = []
-    for child in node:
-        pruned.append(_pruned(child, leaf, components))
-    (lp, ls), *mids, (rp, rs) = pruned
+    (lp, ls), *mids, (rp, rs) = map(_pruned, node, repeat(leaf), repeat(components))
     components += mids
     return lp + rp, (ls, rs)
 

@@ -612,8 +612,20 @@ def with_a_cycle(psi):
     return cycled
 
 
+def leaving_the_domain(psi):
+    """A simulated pairing bug at rho 13|2: each arrangement of the domain goes to
+    one whose partition is not below the dual, where the map, like psi, raises."""
+    def escaped(a, rho):
+        dual = kreweras_inv(rho)
+        if rho.render() != "13|2" or not leq(partition_of(a), dual):
+            return psi(a, rho)
+        return next(b for b in enumerate_arrangements(3) if not leq(partition_of(b), dual))
+    return escaped
+
+
 @pytest.mark.parametrize(
-    "fault, rho", [(with_fixed_point, "13|2"), (with_a_cycle, "1|24|3")]
+    "fault, rho",
+    [(with_fixed_point, "13|2"), (with_a_cycle, "1|24|3"), (leaving_the_domain, "13|2")],
 )
 def test_verify_fault_injection_names_the_unpaired_rho(capsys, monkeypatch, fault, rho):
     monkeypatch.setattr(cm, "psi", fault(cm.psi))

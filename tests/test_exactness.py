@@ -18,7 +18,8 @@ A third lint keeps every ``_terms`` dict write-once: no module writes to one in
 place (a subscript store or ``del``, an augmented assignment, or ``update``,
 ``pop``, ``popitem``, ``clear`` or ``setdefault`` called on it), because
 ``Polynomial.zero()`` hands out one shared empty value, and a write to it would
-change every zero in the process.
+change every zero in the process.  That value's terms are also read-only, so a
+write this lint cannot see, through an alias or a helper, raises at run time.
 
 A fourth lint keeps the caller's input out of ``repr`` in error messages: no
 f-string ``!r`` conversion inside a ``raise``, which would escape as a bare

@@ -82,6 +82,8 @@ def test_the_shared_zero_stays_empty():
     ]
     assert zero == Polynomial({}) and not zero and zero.render() == "0"
     assert taken[0] == p and not taken[5]
+    with pytest.raises(TypeError):  # its terms are read-only, whatever path a write takes
+        zero._terms[0] = 1
 
 
 def test_zero_and_constants():

@@ -11,10 +11,10 @@ table read by ``cumulants_from_moments``:
 
 * ``mobius``   -- back-substitution for the top column (the entries against
   the full partition) of the inverse of the weighted incidence matrix on the
-  noncrossing partition lattice, walking only the coarsenings of each
-  partition (its up-set, built from block merges); each zeta entry is one
-  monomial with coefficient 1, so each step is a run of monomial shifts into
-  one accumulator; the default route;
+  noncrossing partition lattice, over each partition's up-set, as monomial
+  shifts into one accumulator; the default route.  A partition copies the value
+  of its mirror (x -> n + 1 - x keeps how many elements each arc holds) or, if
+  1 ~ 2, of its twin (1 is inside no arc: drop it, join n to the block of n - 1);
 * ``trees``    -- a signed sum over prime plane trees, each contributing the
   moment product of its partition times its weight; the trees of one partition
   are summed by their root's block, whose children are trees on runs of leaves,
@@ -30,9 +30,9 @@ scalars (ints and Fractions) and raises ``TypeError`` on anything else.
 
 Both column routes read entries 1..n off their column of size n (joining k+1..n
 to the block of k keeps the interval up to 1_n and its zeta weights) and share
-only that read-off, ``enumerate_nc``, ``ncpart._delta_key``, ``poly.shift_sum``
-and the set-bit walk ``ncpart._bits``, no lattice code; ``lagrange`` shares none
-of them, so the agreement of the three is a real cross-check.
+only that read-off, ``enumerate_nc``, ``ncpart._delta_key`` and ``poly.shift_sum``,
+no lattice code; ``lagrange`` shares none of them, so the agreement of the three
+is a real cross-check.
 
 The second half of the module is verification apparatus for the top column:
 its entries ``mu_column_via_trees``, each summed by the trees route, their
@@ -290,21 +290,21 @@ def moments_from_cumulants(n: int) -> TransformTable:
 # -- inverse direction: three routes ----------------------------------------
 
 def _mu_top_column(n: int) -> tuple:
-    """Pairs (partition, inverse-matrix entry against the full partition).
-
-    Back-substitution over the coarsenings of each partition; it never
-    divides, because the diagonal entries are 1.  Each zeta entry is one
-    monomial with coefficient 1, so each sum is monomial shifts into one
-    accumulator; the pairs are comparable by construction, so ``leq`` is skipped.
-    """
+    """Pairs (partition, inverse-matrix entry against the full partition), by
+    back-substitution over each partition's up-set (no ``leq``; no division, as the
+    diagonal is 1; each zeta entry is one monomial, so each sum is monomial shifts).
+    A partition reads its value off a later mirror (x -> n + 1 - x keeps how many elements
+    each arc holds) or twin (1 ~ 2: 1 is inside no arc; see ``ncpart._coarsenings``)."""
     parts = sorted(enumerate_nc(n), key=lambda p: (-p.block_count, p.blocks))
-    up = _coarsenings(parts)
+    up, same = _coarsenings(parts)
     values = [Polynomial.one()] * len(parts)
-    for i in range(len(parts) - 2, -1, -1):
-        above = list(_bits(up[i] ^ (1 << i)))
+    for i in sorted(set(same), reverse=True)[1:]:  # below the top, no later copy source
+        bits, j, above = bin(up[i])[:1:-1], 0, []  # bits[j] is bit j of up[i], for parts[i + j]
+        while (j := bits.find("1", j + 1)) > 0:
+            above.append(i + j)
         keys = _zeta_keys(parts[i], [parts[j] for j in above])
-        values[i] = -shift_sum(zip(keys, [values[j] for j in above]))
-    return tuple(zip(parts, values))
+        values[i] = -shift_sum(zip(keys, [values[same[j]] for j in above]))
+    return tuple(zip(parts, [values[j] for j in same]))
 
 
 def _root_sum(blocks: tuple, size: int, leftmost: bool, root: int) -> Polynomial:

@@ -276,18 +276,26 @@ def leq(p: NoncrossingPartition, q: NoncrossingPartition) -> bool:
     return p._rel & q._rel == p._rel
 
 
-def _coarsenings(parts: list) -> list:
-    """Per partition of ``parts``, the lattice sorted finer before coarser, the
-    bitset of the indices of the partitions above it: its own bit or'd with the
-    bitsets of its covers, the merges of two block masks that stay noncrossing,
-    filled coarsest first."""
-    index = {frozenset(p._masks): i for i, p in enumerate(parts)}
-    up = [1 << i for i in range(len(parts))]
-    for i in range(len(parts) - 1, -1, -1):
-        masks = frozenset(parts[i]._masks)
+def _coarsenings(parts: list) -> tuple:
+    """Per partition i of ``parts`` (NC(n) finer before coarser): its up-set as offsets, bit
+    j set when parts[i + j] is above it (its own bit or'd with those of its covers, the
+    noncrossing merges of two blocks, filled coarsest first), and same[i], the ``same`` of the
+    latest of i, its mirror and, if 1 ~ 2, its twin; both keep the column value, as x -> n+1-x
+    keeps how many elements each arc holds and 1 is inside no arc (drop it, join n to n-1)."""
+    n = parts[0].size  # a partition's code: its block masks, each in the row of its lowest bit
+    term = {m: m << n * ((m & -m).bit_length() - 1) for m in range(1, 1 << n)}
+    mirrored = {m: term[int(f"{m:0{n}b}"[::-1], 2)] for m in term}
+    twinned = {m: term.get(m >> 1 | m & 1 << n - 1, 0) for m in term}
+    index = {sum(map(term.get, p._masks)): i for i, p in enumerate(parts)}
+    up, same = [1] * len(parts), list(range(len(parts)))
+    for c, i in reversed(index.items()):
+        masks = parts[i]._masks
+        twin = index[sum(map(twinned.get, masks))] if parts[i]._rel & 2 else i
+        same[i] = same[max(i, twin, index[sum(map(mirrored.get, masks))])]
         for a, b in combinations(masks, 2):  # a crossing merge is not indexed
-            up[i] |= up[index.get(masks - {a, b} | {a | b}, i)]
-    return up
+            k = index.get(c + term[a | b] - term[a] - term[b], i)
+            up[i] |= up[k] << k - i
+    return up, same
 
 
 def restrict(p: NoncrossingPartition, subset: Iterable[int]) -> NoncrossingPartition:

@@ -19,7 +19,7 @@ from nckit import cli
 from nckit import cumulants as cm
 from nckit.cli import main
 from nckit.ncpart import kreweras_inv, leq
-from nckit.poly import Polynomial, delta, moment
+from nckit.poly import Polynomial, cumulant, delta, moment
 from nckit.trees import enumerate_arrangements, partition_of
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
@@ -648,6 +648,38 @@ def test_cancellation_calls_psi_once_per_arrangement(capsys, monkeypatch):
     assert rc == 0
     assert "ok cancellation: 524 cases\n" in out
     assert len(calls) == 460
+
+
+@pytest.mark.parametrize(
+    "family, what", [(moment, "cumulant entry 2 at n=2"), (cumulant, "moment entry 2 at n=2")]
+)
+def test_verify_fault_injection_names_the_round_trip(capsys, monkeypatch, family, what):
+    # a simulated substitution bug: replacing the variable family(2) also adds d1;
+    # no check before the round trip substitutes
+    substitute, wrong, d1 = Polynomial.substitute, family(2), Polynomial.from_variable(delta(1))
+
+    def faulty(self, assignment):
+        value = substitute(self, assignment)
+        return value + d1 if wrong in assignment and wrong in self.variables() else value
+
+    monkeypatch.setattr(Polynomial, "substitute", faulty)
+    rc, out, _ = run_cli(capsys, "verify", "--max-n", "2")
+    assert rc == 1
+    assert out.splitlines()[-1] == f"FAIL round trip: {what}"
+
+
+def test_verify_fault_injection_names_the_sign_pattern(capsys, monkeypatch):
+    # a simulated sign bug: the weight cofactor of M1^2, -1 in entry 2, reads +1;
+    # no check before the sign pattern splits a polynomial by family
+    split, m1_squared = Polynomial.split_by_family, ((moment(1), 2),)
+
+    def flipped(self, family):
+        return {m: -c if m == m1_squared else c for m, c in split(self, family).items()}
+
+    monkeypatch.setattr(Polynomial, "split_by_family", flipped)
+    rc, out, _ = run_cli(capsys, "verify", "--max-n", "2")
+    assert rc == 1
+    assert out.splitlines()[-1] == "FAIL sign pattern: sign pattern breaks in entry 2"
 
 
 def test_table_all_fault_injection_exits_3(capsys, wrong_trees_route):

@@ -6,11 +6,13 @@ import io
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nckit import cumulants as cumulants_module
 from nckit.cumulants import (
     CUMULANT_METHODS,
     DIRECTION_CUMULANTS,
@@ -372,9 +374,10 @@ def test_mu_column_inverts_zeta():
             assert row == (1 if p == top else 0)
 
 
+@cache
 def mu_top_column_by_scan(n):
     """The top column by back-substitution over every later partition,
-    keeping those above p by ``leq``."""
+    keeping those above p by ``leq``; it copies no value."""
     parts = linear_extension(n)
     values = {parts[-1]: Polynomial.one()}
     for i in range(len(parts) - 2, -1, -1):
@@ -391,11 +394,57 @@ def test_mu_column_matches_leq_scan():
 
 
 def test_coarsenings_are_the_up_sets():
+    # bit j of up[i] stands for parts[i + j]; same[i] is i or a later partition
+    # whose value the scan, which makes no copies, gives parts[i] too
     for n in range(1, 8):
         parts = linear_extension(n)
-        for p, up in zip(parts, _coarsenings(parts)):
+        scan = mu_top_column_by_scan(n)
+        up, same = _coarsenings(parts)
+        assert len(up) == len(same) == len(parts)
+        for i, p in enumerate(parts):
             above = {j for j, q in enumerate(parts) if leq(p, q)}
-            assert {j for j in range(len(parts)) if up >> j & 1} == above, p
+            assert {i + j for j in range(up[i].bit_length()) if up[i] >> j & 1} == above, p
+            assert same[i] >= i and scan[same[i]][1] == scan[i][1], p
+
+
+def mirror_blocks(p):
+    """The blocks of p under x -> n + 1 - x, in canonical order."""
+    return tuple(sorted(tuple(p.size + 1 - x for x in reversed(b)) for b in p.blocks))
+
+
+def mirror(p):
+    return NoncrossingPartition(mirror_blocks(p), range(1, p.size + 1))
+
+
+def test_zeta_is_mirror_invariant():
+    # an arc's weight counts the members of a q-block inside it, which the mirror keeps
+    for n in range(1, 7):
+        pairs = [(p, mirror(p)) for p in enumerate_nc(n)]
+        for (p, pbar), (q, qbar) in product(pairs, repeat=2):
+            assert zeta_arc_form(pbar, qbar) == zeta_arc_form(p, q), (p, q)
+
+
+def test_columns_are_mirror_invariant():
+    # the scan copies nothing, and the trees column reads no lattice code
+    for column, top_n in ((mu_top_column_by_scan, 7), (_tree_column, 10)):
+        for n in range(1, top_n + 1):
+            values = {p.blocks: value for p, value in column(n)}
+            assert all(values[mirror_blocks(p)] == value for p, value in column(n)), n
+
+
+@pytest.mark.parametrize("n, computed", [(7, 197), (9, 2089)])
+def test_mobius_back_substitutes_one_partition_per_copy_class(monkeypatch, n, computed):
+    # one zeta-key walk per partition whose mirror and twin (if 1 ~ 2) come no
+    # later; every other partition copies its value (429 and 4,862 in all)
+    calls, zeta_keys = [], cumulants_module._zeta_keys
+
+    def counted(p, coarser):
+        calls.append(p)
+        return zeta_keys(p, coarser)
+
+    monkeypatch.setattr(cumulants_module, "_zeta_keys", counted)
+    _mu_top_column(n)
+    assert len(calls) == len(set(calls)) == computed
 
 
 def test_mu_n2_explicit():
